@@ -104,16 +104,23 @@ def lyapunov(
             if x < 0.0 or x > 1.0:
                 raise DivergenceError(f"logistic orbit escaped [0,1] at x={x!r}")
         return total / iters
+    # Ricker steps y = ln x, with ln|f'(x)| = r(1-x) + ln|1-rx|: an orbit
+    # that passes near 0 keeps its digits instead of underflowing to the
+    # extinct state, where the exponent would read r.
+    y = math.log(x) if x > 0.0 else -math.inf
     for _ in range(burn_in):
-        x = x * math.exp(r * (1.0 - x))
+        y += r * (1.0 - x)
+        x = math.exp(y)
         _check_escape(kind, x)
     total = 0.0
     for _ in range(iters):
-        d = math.exp(r * (1.0 - x)) * (1.0 - r * x)
+        d = 1.0 - r * x
         if d == 0.0:
             return float("-inf")
-        total += math.log(abs(d))
-        x = x * math.exp(r * (1.0 - x))
+        g = r * (1.0 - x)
+        total += g + math.log(abs(d))
+        y += g
+        x = math.exp(y)
         _check_escape(kind, x)
     return total / iters
 

@@ -1,8 +1,9 @@
 """Command-line front end emitting machine-readable scan, simulation, and
 verdict data.
 
-Exit codes: 0 success, 1 usage/parse error, 2 infeasible domain input,
-3 numerical failure (no root in range, divergence).
+Exit codes: 0 success, 1 usage/parse error, 2 infeasible domain input
+(noise variance beyond the equilibrium bound), 3 numerical failure (roots
+only beyond r_max, divergence).
 """
 
 from __future__ import annotations

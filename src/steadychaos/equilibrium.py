@@ -16,10 +16,6 @@ import numpy as np
 
 MapKind = Literal["logistic", "ricker"]
 
-# Ricker root scan: step one order below the closest observed root spacing;
-# the lower bracket excludes the trivial root r = 0.
-RICKER_SCAN_STEP = 1e-3
-RICKER_SCAN_DELTA = 1e-8
 RICKER_DEFAULT_R_MAX = 10.0
 
 
@@ -32,7 +28,7 @@ class InfeasibleError(ValueError):
 
 
 class NoRootError(RuntimeError):
-    """Root scan found no positive root in the requested interval."""
+    """The equilibrium has roots, but none in the requested interval."""
 
     def __init__(self, message: str, r_lo: float, r_hi: float):
         super().__init__(message)
@@ -171,97 +167,99 @@ def ricker_theta(r: float, k: float) -> float:
     return math.expm1(r / (k + 1.0)) / r
 
 
-def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    # refine until the bracket is below 1e-12 wide
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
+# Root structure. With s = r/(k+1), the residual vanishes iff
+#     ln(1 + var_eps) = L(s) = (k+2) ln(2 - e^{-s}) - k s,
+# so L(s) is the log noise level at which s is a root. L(0) = 0, L is
+# strictly concave with its maximum at the tangency s_t = ln((k+1)/k), and
+# L(s) < (k+2) ln 2 - k s. Below the maximum there are therefore exactly two
+# roots, minus in (0, s_t) and plus in (s_t, ((k+2) ln 2 - ln(1+var_eps))/k);
+# at var_eps = 0 the minus root is the trivial r = 0.
+
+
+def _ricker_log_var(s: float, k: float) -> float:
+    # Below s = 1 the form 2s + (k+2) ln(1 - (1 - e^{-s})^2) avoids the
+    # cancellation of two O(k s) terms; above it that form loses 1 - e^{-s}.
+    if s < 1.0:
+        q = math.expm1(-s)
+        return 2.0 * s + (k + 2.0) * math.log1p(-q * q)
+    return (k + 2.0) * math.log1p(-math.expm1(-s)) - k * s
+
+
+def _bisect(f, pos: float, neg: float) -> float:
+    """Root of f between pos and neg, where f(pos) > 0 >= f(neg).
+
+    Halves until the midpoint rounds onto an endpoint: the bracket is then
+    two adjacent floats.
+    """
+    while True:
+        mid = 0.5 * (pos + neg)
+        if mid == pos or mid == neg:
             return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
+        if f(mid) > 0.0:
+            pos = mid
         else:
-            lo, f_lo = mid, f_mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+            neg = mid
 
 
-def _ricker_roots(k: float, var_eps: float, r_max: float) -> list[float]:
-    rs = np.arange(RICKER_SCAN_DELTA, r_max + RICKER_SCAN_STEP, RICKER_SCAN_STEP)
-    rs = rs[rs <= r_max]
-    vals = ricker_residual(rs, k, var_eps)
-    roots = []
-    f = lambda r: ricker_residual(r, k, var_eps)
-    for i in range(len(rs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(rs[i]))
-        elif (a < 0.0) != (b < 0.0):
-            roots.append(_bisect_root(f, float(rs[i]), float(rs[i + 1]), float(a), float(b)))
-    if len(vals) and vals[-1] == 0.0:
-        roots.append(float(rs[-1]))
-    return roots
+def ricker_noise_bound(k: float, r_max: float = RICKER_DEFAULT_R_MAX) -> float:
+    """Largest noise variance for which a positive root exists in (0, r_max].
 
-
-def ricker_noise_bound(k: float, r_max: float = RICKER_DEFAULT_R_MAX, tol: float = 1e-6) -> float:
-    """Maximal noise variance for which a positive root exists in (0, r_max].
-
-    The residual is pointwise strictly decreasing in var_eps, so root
-    existence is monotone; found by bisection to ``tol``.
+    Closed form: once r_max reaches the tangency r* = (k+1) ln((k+1)/k) it is
+    v_max(k) = [(2/p)(2(p-1)/p)^{p-1}]^{k+2} - 1 with p = 2(k+1)/(k+2)
+    (11/16 at k = 1); below r* it is the variance whose minus root is r_max.
     """
     _check_k(k)
-    rs = np.arange(RICKER_SCAN_DELTA, r_max + RICKER_SCAN_STEP, RICKER_SCAN_STEP)
-
-    def exists(v: float) -> bool:
-        return bool(np.max(ricker_residual(rs, k, v)) > 0.0)
-
-    if not exists(0.0):
-        return 0.0
-    hi = 0.25
-    while exists(hi):
-        hi *= 2.0
-        if hi > 1e12:  # unreachable in practice: the noise term grows without bound
-            return math.inf
-    lo = hi / 2.0 if hi > 0.25 else 0.0
-    if lo > 0.0 and not exists(lo):
-        lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if exists(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if not (r_max > 0):
+        raise ValueError(f"r_max must be > 0, got {r_max!r}")
+    s = min(r_max / (k + 1.0), math.log1p(1.0 / k))
+    return math.expm1(_ricker_log_var(s, k))
 
 
 def ricker_solve(
     k: float, var_eps: float, r_max: float = RICKER_DEFAULT_R_MAX
 ) -> EquilibriumSolution:
-    """Solve for the positive growth-rate branches of the stochastic Ricker map."""
-    _check_k(k)
+    """Solve for the positive growth-rate branches of the stochastic Ricker map.
+
+    Each root is bisected to adjacent floats inside its exact bracket, either
+    side of the tangency r*; the side names the branch. Raises
+    InfeasibleError when var_eps exceeds v_max(k), and NoRootError when the
+    roots exist but all lie beyond r_max.
+    """
     _check_var(var_eps)
-    if not (r_max > 0):
-        raise ValueError(f"r_max must be > 0, got {r_max!r}")
-    roots = _ricker_roots(k, var_eps, r_max)
-    beyond = bool(ricker_residual(r_max, k, var_eps) > 0.0)
-    if not roots:
-        msg = f"no positive root of the Ricker equilibrium in ({RICKER_SCAN_DELTA}, {r_max}]"
-        if beyond:
-            msg += "; the residual is still positive at r_max, roots may exist beyond it"
-        raise NoRootError(msg, r_lo=RICKER_SCAN_DELTA, r_hi=r_max)
-    roots = sorted(roots, reverse=True)
-    labels = ("plus", "minus") if len(roots) >= 2 else ("plus",)
+    bound_var = ricker_noise_bound(k, r_max=r_max)  # also checks k and r_max
+    v_max = ricker_noise_bound(k, r_max=math.inf)
+    if var_eps > v_max:
+        raise InfeasibleError(
+            f"var_eps={var_eps} exceeds feasibility bound {v_max} for k={k}",
+            bound=v_max,
+        )
+    log_var = math.log1p(var_eps)
+    s_t = math.log1p(1.0 / k)
+    f = lambda s: _ricker_log_var(s, k) - log_var
+    if f(s_t) > 0.0:
+        s_plus = _bisect(f, s_t, ((k + 2.0) * math.log(2.0) - log_var) / k)
+        s_minus = _bisect(f, s_t, 0.0) if var_eps > 0.0 else 0.0
+    else:
+        # tangency within rounding: the two roots coincide
+        s_plus = s_minus = s_t
+    r_plus, r_minus = (k + 1.0) * s_plus, (k + 1.0) * s_minus
     branches = tuple(
         Branch(r=r, theta=ricker_theta(r, k), label=label)
-        for r, label in zip(roots, labels)
+        for label, r in (("plus", r_plus), ("minus", r_minus))
+        if 0.0 < r <= r_max
     )
+    if not branches:
+        raise NoRootError(
+            f"the roots of the Ricker equilibrium lie beyond r_max={r_max}",
+            r_lo=0.0,
+            r_hi=r_max,
+        )
     return EquilibriumSolution(
         map="ricker",
         k=k,
         var_eps=var_eps,
         branches=branches,
         feasible=True,
-        bound_var=ricker_noise_bound(k, r_max=r_max),
-        roots_beyond_rmax=beyond,
+        bound_var=bound_var,
+        roots_beyond_rmax=r_plus > r_max,
     )

@@ -69,6 +69,18 @@ class TestLyapunov:
     def test_ricker_chaotic_at_r28(self):
         assert lyapunov("ricker", 2.8) > 0.1
 
+    def test_ricker_orbit_near_zero_keeps_its_digits(self):
+        # at the k = 0.2 equilibrium r the orbit dips below e^-3000, where a
+        # directly stepped x underflows to the extinct state and the exponent
+        # reads r itself
+        r = 9.146311040868133
+        assert 0.0 < lyapunov("ricker", r, iters=20_000) < 1.0
+
+    def test_ricker_escape_above_cap_raises(self):
+        # f(1/r) = e^{r-1}/r exceeds the 1e6 cap at r = 20
+        with pytest.raises(DivergenceError):
+            lyapunov("ricker", 20.0)
+
 
 class TestClassify:
     @pytest.mark.parametrize("r", np.linspace(1.05, 2.95, 20))

@@ -39,9 +39,15 @@ class TestExitCodes:
         assert "bound" in err
 
     def test_no_root_is_3(self, capsys):
-        code, _, err = run_cli(capsys, "solve", "--map", "ricker", "--k", "1.0", "--var-eps", "5.0")
+        # the only root for k=0.1 at var_eps=0 lies beyond the default r_max
+        code, _, err = run_cli(capsys, "solve", "--map", "ricker", "--k", "0.1", "--var-eps", "0")
         assert code == 3
         assert "numerical failure" in err
+
+    def test_ricker_above_bound_is_2(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--map", "ricker", "--k", "1.0", "--var-eps", "5.0")
+        assert code == 2
+        assert "bound=0.6875" in err
 
     def test_success_is_0(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--map", "logistic", "--k", "2.0", "--var-eps", "0.1")

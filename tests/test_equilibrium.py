@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,9 +189,15 @@ class TestRickerSolve:
         assert all(a > b for a, b in zip(roots, roots[1:]))
 
     def test_no_root_error_reports_interval(self):
+        # k=0.1 at var_eps=0 has its only root near r ~ 26, beyond r_max
         with pytest.raises(NoRootError) as err:
+            ricker_solve(0.1, 0.0)
+        assert (err.value.r_lo, err.value.r_hi) == (0.0, 10.0)
+
+    def test_above_bound_is_infeasible(self):
+        with pytest.raises(InfeasibleError) as err:
             ricker_solve(1.0, 5.0)
-        assert err.value.r_hi == 10.0
+        assert err.value.bound == pytest.approx(11.0 / 16.0, rel=1e-15)
 
     def test_root_beyond_rmax_reported(self):
         # k=0.01 at var_eps=0 has its root near r ~ 140
@@ -211,10 +219,115 @@ class TestRickerSolve:
                 assert log_lhs == pytest.approx(log_rhs, abs=1e-9)
 
     def test_bound_var_is_existence_threshold(self):
-        bound = ricker_noise_bound(1.0, tol=1e-6)
-        assert len(ricker_solve(1.0, bound - 1e-4).branches) >= 1
-        with pytest.raises(NoRootError):
+        bound = ricker_noise_bound(1.0)
+        assert len(ricker_solve(1.0, bound - 1e-4).branches) == 2
+        with pytest.raises(InfeasibleError):
             ricker_solve(1.0, bound + 1e-4)
+
+    def test_bound_below_tangency_depends_on_r_max(self):
+        # r_max = 0.5 lies below the tangency r* = 2 ln 2: the bound is the
+        # variance whose minus root sits at r_max; above it the roots exist
+        # but lie beyond r_max
+        bound = ricker_noise_bound(1.0, r_max=0.5)
+        assert bound < ricker_noise_bound(1.0)
+        sol = ricker_solve(1.0, bound * (1.0 - 1e-9), r_max=0.5)
+        assert [b.label for b in sol.branches] == ["minus"]
+        assert sol.branches[0].r == pytest.approx(0.5, rel=1e-6)
+        assert sol.bound_var == bound
+        with pytest.raises(NoRootError):
+            ricker_solve(1.0, bound * (1.0 + 1e-9), r_max=0.5)
+
+    def test_lone_root_labelled_by_side_of_tangency(self):
+        # the plus root (~ 139) lies beyond r_max; the one in range is minus
+        sol = ricker_solve(0.01, 0.1, r_max=10.0)
+        assert len(sol.branches) == 1
+        b = sol.branches[0]
+        assert b.label == "minus"
+        assert b.r == pytest.approx(0.0506, abs=1e-3)
+        assert sol.roots_beyond_rmax
+
+    def test_large_r_max_no_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = ricker_solve(1.0, 0.05, r_max=1500.0)
+        assert [b.label for b in sol.branches] == ["plus", "minus"]
+        assert sol.branches[0].r == pytest.approx(3.5222, abs=1e-4)
+        assert sol.branches[1].r == pytest.approx(0.0507, abs=1e-4)
+        assert not sol.roots_beyond_rmax
+
+
+def _mp_ricker(r, k, v):
+    return 2 * mpmath.exp(r / (k + 1)) - ((1 + v) * mpmath.exp(2 * r)) ** (1 / (k + 2)) - 1
+
+
+def _mp_tangency(k):
+    """(r*, v_max) where the residual and its r-derivative vanish together,
+    by 50-digit Newton on the directly written equation."""
+    k = mpmath.mpf(k)
+    dr = lambda r, v: mpmath.diff(lambda x: _mp_ricker(x, k, v), r)
+    guess = ((k + 1) * mpmath.log((k + 1) / k), ricker_noise_bound(float(k), r_max=math.inf))
+    return mpmath.findroot([lambda r, v: _mp_ricker(r, k, v), dr], guess)
+
+
+def _mp_roots(k, v, r_star):
+    """50-digit (r+, r-) by bracketing either side of r*; r- is None at v = 0."""
+    k, v = mpmath.mpf(k), mpmath.mpf(v)
+    # scaled by the positive 2 e^{r/(k+1)} so that findroot's absolute
+    # tolerance means the same at r ~ 140 as at r ~ 0.01
+    f = lambda r: _mp_ricker(r, k, v) / (2 * mpmath.exp(r / (k + 1)))
+    hi = 2 * r_star
+    while f(hi) > 0:
+        hi *= 2
+    plus = mpmath.findroot(f, (r_star, hi), solver="illinois")
+    minus = mpmath.findroot(f, (mpmath.mpf(0), r_star), solver="illinois") if v > 0 else None
+    return plus, minus
+
+
+def _rel_residual(r, k, v):
+    # the residual divided by 2 e^{r/(k+1)}, in log space
+    a = r / (k + 1.0)
+    return 1.0 - 0.5 * math.exp((math.log1p(v) + 2.0 * r) / (k + 2.0) - a) - 0.5 * math.exp(-a)
+
+
+class TestRickerOracles:
+    def test_v_max_k1_is_eleven_sixteenths(self):
+        assert ricker_noise_bound(1.0, r_max=math.inf) == pytest.approx(11.0 / 16.0, abs=1e-15)
+
+    @pytest.mark.parametrize("k", (0.01, 0.1, 1.0, 10.0, 100.0))
+    def test_roots_and_bound_against_mpmath(self, k):
+        with mpmath.workdps(50):
+            r_star, v_max = _mp_tangency(k)
+            assert ricker_noise_bound(k, r_max=math.inf) == pytest.approx(float(v_max), rel=1e-14)
+            for frac in (0.0, 1e-6, 0.3, 0.7, 0.99):
+                v = frac * float(v_max)
+                sol = ricker_solve(k, v, r_max=math.inf)
+                plus, minus = _mp_roots(k, v, r_star)
+                want = [("plus", plus)] + ([("minus", minus)] if minus is not None else [])
+                assert [b.label for b in sol.branches] == [label for label, _ in want]
+                for b, (_, r) in zip(sol.branches, want):
+                    assert b.r == pytest.approx(float(r), rel=1e-13)
+
+    def test_at_bound_both_branches_are_the_tangency(self):
+        # v = v_max(1) = 11/16: the double root r* = 2 ln 2
+        sol = ricker_solve(1.0, 11.0 / 16.0)
+        assert [b.label for b in sol.branches] == ["plus", "minus"]
+        for b in sol.branches:
+            assert b.r == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+
+    @given(
+        k=st.floats(min_value=0.01, max_value=100.0),
+        j=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=200)
+    def test_near_bound_roots_straddle_tangency(self, k, j):
+        v = ricker_noise_bound(k, r_max=math.inf) * (1.0 - 10.0 ** -j)
+        p = 2.0 * (k + 1.0) / (k + 2.0)
+        r_star = (k + 1.0) * math.log(p / (2.0 * (p - 1.0)))
+        sol = ricker_solve(k, v, r_max=math.inf)
+        plus, minus = sol.branches
+        assert minus.r < r_star < plus.r
+        for b in sol.branches:
+            assert abs(_rel_residual(b.r, k, v)) <= 1e-10
 
 
 class TestRickerTheta:
