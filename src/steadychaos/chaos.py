@@ -13,8 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, MapKind, logistic_solve, ricker_solve
-from .simulate import RICKER_X_CAP
+from . import maps
+from .equilibrium import EquilibriumSolution, logistic_solve, ricker_solve
+from .maps import MapKind
+from .maps import derivative as det_derivative, step as det_step  # public names
 
 DEFAULT_LYAP_TOL = 1e-3
 DEFAULT_P_MAX = 64
@@ -22,10 +24,6 @@ DEFAULT_BURN_IN = 1_000
 DEFAULT_ITERS = 100_000
 _CYCLE_TRANSIENT = 10_000
 _CYCLE_TOL = 1e-8
-
-# Generic starting points away from fixed points, superstable preimages,
-# and poles; the second is the retry when the first escapes.
-_DEFAULT_X0 = {"logistic": (0.37, 0.23), "ricker": (0.7, 1.3)}
 
 
 class DivergenceError(RuntimeError):
@@ -51,24 +49,8 @@ class TransitionReport:
     solution: EquilibriumSolution
 
 
-def det_step(kind: MapKind, r: float, x: float) -> float:
-    if kind == "logistic":
-        return r * x * (1.0 - x)
-    return x * math.exp(r * (1.0 - x))
-
-
-def det_derivative(kind: MapKind, r: float, x: float) -> float:
-    if kind == "logistic":
-        return r * (1.0 - 2.0 * x)
-    return math.exp(r * (1.0 - x)) * (1.0 - r * x)
-
-
-def _check_escape(kind: MapKind, x: float) -> None:
-    if kind == "logistic":
-        if x < 0.0 or x > 1.0:
-            raise DivergenceError(f"logistic orbit escaped [0,1] at x={x!r}")
-    elif not (math.isfinite(x) and 0.0 <= x < RICKER_X_CAP):
-        raise DivergenceError(f"ricker orbit escaped [0, {RICKER_X_CAP}) at x={x!r}")
+def _escape_error(kind: MapKind, x: float) -> DivergenceError:
+    return DivergenceError(f"{kind} orbit escaped [0, {maps.UPPER[kind]:g}] at x={x!r}")
 
 
 def lyapunov(
@@ -81,38 +63,37 @@ def lyapunov(
     """Orbit average of ln|f'(x_t)| after burn-in.
 
     Returns -inf if the orbit hits a superstable point (derivative exactly 0);
-    raises DivergenceError if the orbit escapes the admissible region.
+    raises DivergenceError if the orbit starts or lands outside the closed
+    domain (``maps.in_domain``), ValueError for a bad kind or r.
     """
+    maps.check(kind, r)
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    x = _DEFAULT_X0[kind][0] if x0 is None else x0
-    _check_escape(kind, x)
-    # two specialized loops: the iteration is inherently sequential and this
-    # is the hot path
+    x = maps.DEFAULT_X0[kind][0] if x0 is None else x0
+    if not maps.in_domain(kind, x):
+        raise _escape_error(kind, x)
+    y = math.log(x) if x > 0.0 else -math.inf
+    for _ in range(burn_in):
+        x, y = maps.orbit_step(kind, r, x, y)
+        if not maps.in_domain(kind, x):
+            raise _escape_error(kind, x)
+    # two loops specialized from maps.orbit_step, maps.log_abs_derivative and
+    # maps.in_domain: the iteration is inherently sequential and this is the
+    # hot path
+    hi = maps.UPPER[kind]
+    total = 0.0
     if kind == "logistic":
-        for _ in range(burn_in):
-            x = r * x * (1.0 - x)
-            if x < 0.0 or x > 1.0:
-                raise DivergenceError(f"logistic orbit escaped [0,1] at x={x!r}")
-        total = 0.0
         for _ in range(iters):
             d = r * (1.0 - 2.0 * x)
             if d == 0.0:
                 return float("-inf")
             total += math.log(abs(d))
             x = r * x * (1.0 - x)
-            if x < 0.0 or x > 1.0:
-                raise DivergenceError(f"logistic orbit escaped [0,1] at x={x!r}")
+            if not 0.0 <= x <= hi:
+                raise _escape_error(kind, x)
         return total / iters
-    # Ricker steps y = ln x, with ln|f'(x)| = r(1-x) + ln|1-rx|: an orbit
-    # that passes near 0 keeps its digits instead of underflowing to the
-    # extinct state, where the exponent would read r.
-    y = math.log(x) if x > 0.0 else -math.inf
-    for _ in range(burn_in):
-        y += r * (1.0 - x)
-        x = math.exp(y)
-        _check_escape(kind, x)
-    total = 0.0
+    # Ricker carries y = ln x: near 0 the exponent would otherwise read r
+    # from an orbit underflowed to the extinct state
     for _ in range(iters):
         d = 1.0 - r * x
         if d == 0.0:
@@ -121,20 +102,23 @@ def lyapunov(
         total += g + math.log(abs(d))
         y += g
         x = math.exp(y)
-        _check_escape(kind, x)
+        if not 0.0 <= x <= hi:
+            raise _escape_error(kind, x)
     return total / iters
 
 
 def _detect_period(kind: MapKind, r: float, x0: float, p_max: int) -> Optional[int]:
     x = x0
     for _ in range(_CYCLE_TRANSIENT):
-        x = det_step(kind, r, x)
-        _check_escape(kind, x)
+        x = maps.step(kind, r, x)
+        if not maps.in_domain(kind, x):
+            raise _escape_error(kind, x)
     ref = x
     scale = max(1.0, abs(ref))
     for p in range(1, p_max + 1):
-        x = det_step(kind, r, x)
-        _check_escape(kind, x)
+        x = maps.step(kind, r, x)
+        if not maps.in_domain(kind, x):
+            raise _escape_error(kind, x)
         if abs(x - ref) < _CYCLE_TOL * scale:
             return p
     return None
@@ -156,7 +140,8 @@ def classify(
     marginal when neither applies; divergent when the orbit escapes from both
     starting points.
     """
-    starts = (x0,) if x0 is not None else _DEFAULT_X0[kind]
+    maps.check(kind, r)
+    starts = (x0,) if x0 is not None else maps.DEFAULT_X0[kind]
     lam = None
     start = None
     for candidate in starts:
@@ -200,45 +185,34 @@ def bifurcation_scan(
 ) -> list[ScanRecord]:
     """Attractor samples and Lyapunov exponent on a uniform r grid.
 
-    Vectorized across the grid; escaped grid points yield NaN records.
+    Vectorized across the grid; escaped grid points yield NaN records. The
+    orbits step through ``maps.orbit_step``, so Ricker orbits near 0 do not
+    underflow.
     """
+    maps.check(kind, r_min)
+    maps.check(kind, r_max)
     if not (r_min < r_max):
         raise ValueError(f"need r_min < r_max, got {r_min}, {r_max}")
     if n_r < 2:
         raise ValueError(f"n_r must be >= 2, got {n_r}")
     rs = np.linspace(r_min, r_max, n_r)
-    x = np.full(n_r, _DEFAULT_X0[kind][0])
-
-    def advance(x: np.ndarray) -> np.ndarray:
-        if kind == "logistic":
-            return rs * x * (1.0 - x)
-        return x * np.exp(rs * (1.0 - x))
-
-    def deriv(x: np.ndarray) -> np.ndarray:
-        if kind == "logistic":
-            return rs * (1.0 - 2.0 * x)
-        return np.exp(rs * (1.0 - x)) * (1.0 - rs * x)
-
-    def escaped(x: np.ndarray) -> np.ndarray:
-        if kind == "logistic":
-            return ~np.isfinite(x) | (x < 0.0) | (x > 1.0)
-        return ~np.isfinite(x) | (x < 0.0) | (x >= RICKER_X_CAP)
-
+    x = np.full(n_r, maps.DEFAULT_X0[kind][0])
+    y = np.log(x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(burn_in):
-            x = advance(x)
-            x[escaped(x)] = np.nan
+            x, y = maps.orbit_step(kind, rs, x, y)
+            x[~maps.in_domain(kind, x)] = np.nan
         lam = np.zeros(n_r)
         for _ in range(lyap_iters):
-            lam += np.log(np.abs(deriv(x)))
-            x = advance(x)
-            x[escaped(x)] = np.nan
+            lam += maps.log_abs_derivative(kind, rs, x)
+            x, y = maps.orbit_step(kind, rs, x, y)
+            x[~maps.in_domain(kind, x)] = np.nan
         lam /= lyap_iters
         samples = np.empty((n_r, samples_per_r))
         for j in range(samples_per_r):
             samples[:, j] = x
-            x = advance(x)
-            x[escaped(x)] = np.nan
+            x, y = maps.orbit_step(kind, rs, x, y)
+            x[~maps.in_domain(kind, x)] = np.nan
     return [
         ScanRecord(r=float(rs[i]), samples=samples[i].copy(), lyapunov=float(lam[i]))
         for i in range(n_r)

@@ -1,9 +1,11 @@
 """Command-line front end emitting machine-readable scan, simulation, and
 verdict data.
 
-Exit codes: 0 success, 1 usage/parse error, 2 infeasible domain input
-(noise variance beyond the equilibrium bound), 3 numerical failure (roots
-only beyond r_max, divergence).
+Exit codes: 0 success, 1 usage/parse error (including a growth rate r that
+is not finite and > 0), 2 infeasible domain input (noise variance beyond the
+equilibrium bound), 3 numerical failure (roots only beyond r_max, a Ricker
+theta = e^(r/(k+1))/r beyond the float range, divergence, including a start
+point outside the map's domain).
 """
 
 from __future__ import annotations

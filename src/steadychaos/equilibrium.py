@@ -14,7 +14,7 @@ from typing import Literal
 
 import numpy as np
 
-MapKind = Literal["logistic", "ricker"]
+from .maps import MapKind
 
 RICKER_DEFAULT_R_MAX = 10.0
 
@@ -164,7 +164,14 @@ def ricker_theta(r: float, k: float) -> float:
     _check_k(k)
     if not (r > 0):
         raise ValueError(f"ricker theta requires r > 0, got {r!r}")
-    return math.expm1(r / (k + 1.0)) / r
+    s = r / (k + 1.0)
+    try:
+        # past s ~ 709.8 e^s overflows, while theta = e^{s - ln r} may still fit
+        return math.expm1(s) / r if s < 700.0 else math.exp(s - math.log(r))
+    except OverflowError:
+        raise OverflowError(
+            f"theta = e^(r/(k+1))/r exceeds the float range at r={r!r}, k={k!r}"
+        ) from None
 
 
 # Root structure. With s = r/(k+1), the residual vanishes iff

@@ -13,9 +13,10 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .chaos import det_step
-from .equilibrium import MapKind, NoiseSpec
+from . import maps
+from .equilibrium import NoiseSpec
 from .gamma_core import fit_from_moments
+from .maps import MapKind
 from .simulate import MapSpec, run_ensemble
 
 _DEFAULT_Y0 = {"logistic": 0.3, "ricker": 0.7}
@@ -55,7 +56,7 @@ def deterministic_orbit(kind: MapKind, r: float, x0: float, t_max: int) -> np.nd
     orbit[0] = x0
     x = x0
     for t in range(t_max):
-        x = det_step(kind, r, x)
+        x = maps.step(kind, r, x)
         orbit[t + 1] = x
     return orbit
 

@@ -14,19 +14,10 @@ from typing import Literal, Optional, Union
 
 import numpy as np
 
-from .equilibrium import (
-    Branch,
-    EquilibriumSolution,
-    MapKind,
-    NoiseSpec,
-    logistic_solve,
-    ricker_solve,
-)
+from . import maps
+from .equilibrium import Branch, EquilibriumSolution, NoiseSpec, logistic_solve, ricker_solve
 from .gamma_core import GammaParams
-
-# Ricker trajectories beyond this are treated as divergent; far above any
-# equilibrium scale k*theta in the tested regimes.
-RICKER_X_CAP = 1e6
+from .maps import MapKind
 
 
 @dataclass(frozen=True)
@@ -35,10 +26,7 @@ class MapSpec:
     r: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("logistic", "ricker"):
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValueError(f"growth rate r must be finite and > 0, got {self.r!r}")
+        maps.check(self.kind, self.r)
 
 
 @dataclass(frozen=True)
@@ -93,21 +81,23 @@ def noise_draw(spec: NoiseSpec, rng: np.random.Generator, size: Optional[int] = 
 
 def step(map: MapSpec, x: float, eps: float) -> float:
     """One stochastic iteration; negative logistic outputs are returned as-is."""
-    if map.kind == "logistic":
-        return map.r * x * (1.0 - x) * eps
-    return x * math.exp(map.r * (1.0 - x)) * eps
+    return maps.step(map.kind, map.r, x, eps)
 
 
-def _step_array(map: MapSpec, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    if map.kind == "logistic":
-        return map.r * x * (1.0 - x) * eps
-    return x * np.exp(map.r * (1.0 - x)) * eps
-
-
-def _admissible(kind: MapKind, x: float) -> bool:
-    if kind == "logistic":
-        return 0.0 < x < 1.0
-    return 0.0 < x < RICKER_X_CAP
+def _iterate(map: MapSpec, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Step all trajectories together, time-major: row i starts at x0[i] and
+    takes eps[i, t] at step t. A row holds NaN after the step at which it
+    leaves the open domain; that step keeps the value that left."""
+    values = np.full((len(x0), eps.shape[1] + 1), np.nan)
+    values[:, 0] = x0
+    x = np.where(maps.in_open_domain(map.kind, x0), x0, np.nan)
+    # a step that overflows leaves the domain like any other escape
+    with np.errstate(over="ignore"):
+        for t in range(eps.shape[1]):
+            x = maps.step(map.kind, map.r, x, eps[:, t])
+            values[:, t + 1] = x
+            x[~maps.in_open_domain(map.kind, x)] = np.nan
+    return values
 
 
 def run_trajectory(
@@ -118,21 +108,15 @@ def run_trajectory(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Iterate the stochastic map; stops and flags when the state leaves the
-    admissible region (logistic: (0,1); ricker: (0, RICKER_X_CAP))."""
+    open domain (``maps.in_open_domain``)."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    values = np.full(t_max + 1, np.nan)
-    values[0] = x0
-    if not _admissible(map.kind, x0):
-        return Trajectory(values=values, exited=True, exit_step=0)
     eps = noise_draw(noise, rng, size=t_max)
-    x = x0
-    for t in range(t_max):
-        x = step(map, x, eps[t])
-        values[t + 1] = x
-        if not _admissible(map.kind, x):
-            return Trajectory(values=values, exited=True, exit_step=t + 1)
-    return Trajectory(values=values, exited=False, exit_step=None)
+    values = _iterate(map, np.array([x0], dtype=float), eps[None, :])[0]
+    outside = ~maps.in_open_domain(map.kind, values)
+    if not outside.any():
+        return Trajectory(values=values, exited=False, exit_step=None)
+    return Trajectory(values=values, exited=True, exit_step=int(np.argmax(outside)))
 
 
 InitSpec = Union[float, GammaParams]
@@ -157,29 +141,28 @@ def run_ensemble(
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
-    values = np.full((n_traj, t_max + 1), np.nan)
-    exited = np.zeros(n_traj, dtype=bool)
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    x0 = np.empty(n_traj)
+    eps = np.empty((n_traj, t_max))
 
-    def fill(lo: int, hi: int) -> None:
+    def draw(lo: int, hi: int) -> None:
         for i in range(lo, hi):
             rng = trajectory_rng(seed, i)
-            if isinstance(init, GammaParams):
-                x0 = float(rng.gamma(init.k, init.theta))
-            else:
-                x0 = float(init)
-            traj = run_trajectory(map, x0, noise, t_max, rng)
-            values[i] = traj.values
-            exited[i] = traj.exited
+            x0[i] = rng.gamma(init.k, init.theta) if isinstance(init, GammaParams) else init
+            eps[i] = noise_draw(noise, rng, size=t_max)
 
     if n_workers <= 1:
-        fill(0, n_traj)
+        draw(0, n_traj)
     else:
         chunk = -(-n_traj // n_workers)
         bounds = [(lo, min(lo + chunk, n_traj)) for lo in range(0, n_traj, chunk)]
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for future in [pool.submit(fill, lo, hi) for lo, hi in bounds]:
+            for future in [pool.submit(draw, lo, hi) for lo, hi in bounds]:
                 future.result()
 
+    values = _iterate(map, x0, eps)
+    exited = ~maps.in_open_domain(map.kind, values[:, -1])
     keep = values[~exited]
     n = keep.shape[0]
     extinct_fraction = float(exited.mean())
@@ -231,7 +214,7 @@ def stationarity_check(
     rng = trajectory_rng(seed, 0)
     x0 = rng.gamma(k, b.theta, size=n_traj)
     eps = noise_draw(NoiseSpec(var_eps, family), rng, size=n_traj)
-    x1 = _step_array(MapSpec(map_kind, r), x0, eps)
+    x1 = step(MapSpec(map_kind, r), x0, eps)
 
     n = n_traj
     m = x1.mean()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steadychaos import (
     DivergenceError,
@@ -10,6 +12,7 @@ from steadychaos import (
     det_derivative,
     det_step,
     lyapunov,
+    maps,
     transition_report,
 )
 
@@ -28,6 +31,80 @@ class TestDerivative:
     def test_known_points(self):
         assert det_derivative("logistic", 3.0, 0.5) == 0.0
         assert det_derivative("ricker", 2.0, 1.0) == -1.0
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            det_step("henon", 2.0, 0.5)
+        with pytest.raises(ValueError):
+            det_derivative("henon", 2.0, 0.5)
+
+
+class TestSharedKernel:
+    @given(
+        r=st.floats(min_value=0.5, max_value=4.0),
+        xs=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=100)
+    def test_array_step_matches_scalar(self, r, xs):
+        logistic = [x for x in xs if x <= 1.0] or [0.5]
+        scalar = [maps.step("logistic", r, x) for x in logistic]
+        assert maps.step("logistic", r, np.array(logistic)).tolist() == scalar
+        # np.exp and math.exp differ by at most 1 ulp; rounding the product
+        # with x can carry that to 2 ulps of the step
+        scalar = np.array([maps.step("ricker", r, x) for x in xs])
+        array = maps.step("ricker", r, np.array(xs))
+        assert np.all(np.abs(array - scalar) <= 2.0 * np.spacing(scalar))
+
+    @staticmethod
+    def _kernel_lyapunov(kind, r, x0, burn_in, iters):
+        """Mean of ln|f'| along the maps.orbit_step orbit, the kernel the
+        lyapunov loops are specialised from; None once the orbit escapes.
+        Logistic terms are ln|maps.derivative|, Ricker terms
+        maps.log_abs_derivative."""
+        x, y = x0, (math.log(x0) if x0 > 0.0 else -math.inf)
+        total = 0.0
+        for t in range(burn_in + iters):
+            if t >= burn_in:
+                d = maps.derivative(kind, r, x)
+                if d == 0.0:
+                    return -math.inf
+                if kind == "logistic":
+                    total += math.log(abs(d))
+                else:
+                    total += float(maps.log_abs_derivative(kind, r, x))
+            x, y = maps.orbit_step(kind, r, x, y)
+            if not maps.in_domain(kind, x):
+                return None
+        return total / iters
+
+    @given(
+        r=st.floats(min_value=2.9, max_value=4.0),
+        x0=st.floats(min_value=0.0, max_value=1.0),
+        burn_in=st.integers(min_value=0, max_value=10),
+        iters=st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=200)
+    def test_logistic_lyapunov_loop_is_the_kernel(self, r, x0, burn_in, iters):
+        want = self._kernel_lyapunov("logistic", r, x0, burn_in, iters)
+        if want is None:
+            with pytest.raises(DivergenceError):
+                lyapunov("logistic", r, x0=x0, burn_in=burn_in, iters=iters)
+        else:
+            assert lyapunov("logistic", r, x0=x0, burn_in=burn_in, iters=iters) == want
+
+    @given(
+        r=st.floats(min_value=1.5, max_value=3.0),
+        x0=st.floats(min_value=0.0, max_value=3.0),
+        burn_in=st.integers(min_value=0, max_value=10),
+        iters=st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=200)
+    def test_ricker_lyapunov_loop_is_the_kernel(self, r, x0, burn_in, iters):
+        # np.log in the kernel and math.log in the loop differ by an ulp on
+        # a few inputs; the orbits are the same floats
+        want = self._kernel_lyapunov("ricker", r, x0, burn_in, iters)
+        got = lyapunov("ricker", r, x0=x0, burn_in=burn_in, iters=iters)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestLyapunov:
@@ -75,6 +152,27 @@ class TestLyapunov:
         # reads r itself
         r = 9.146311040868133
         assert 0.0 < lyapunov("ricker", r, iters=20_000) < 1.0
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_growth_rate_rejected(self, r):
+        with pytest.raises(ValueError):
+            lyapunov("logistic", r)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            lyapunov("henon", 1.5, x0=0.7)
+        with pytest.raises(ValueError):
+            classify("henon", 1.5)
+
+    def test_domain_is_closed(self):
+        # logistic 1 maps onto the extinct fixed point 0, where f'(0) = r
+        assert lyapunov("logistic", 2.0, x0=1.0, burn_in=1, iters=10) == math.log(2.0)
+        assert lyapunov("ricker", 2.0, x0=0.0, burn_in=0, iters=10) == 2.0
+
+    @pytest.mark.parametrize("kind", ["logistic", "ricker"])
+    def test_nan_start_is_outside_the_domain(self, kind):
+        with pytest.raises(DivergenceError):
+            lyapunov(kind, 3.5 if kind == "logistic" else 2.0, x0=math.nan)
 
     def test_ricker_escape_above_cap_raises(self):
         # f(1/r) = e^{r-1}/r exceeds the 1e6 cap at r = 20
@@ -124,6 +222,24 @@ class TestBifurcationScan:
         assert len(recs) == 16
         assert recs[0].r == 2.5 and recs[-1].r == 4.0
         assert all(rec.samples.shape == (10,) for rec in recs)
+        assert np.allclose(recs[0].samples, 0.6, rtol=0.0, atol=1e-9)
+        assert recs[0].lyapunov == pytest.approx(math.log(0.5), abs=1e-8)
+
+    def test_ricker_orbit_near_zero_is_not_extinct(self):
+        # at r ~ 9 the orbit spends about half its time below e^-745, where
+        # a sample reads 0.0; a directly stepped x stays at 0 from the first
+        # such dip on, and the exponent then reads r
+        recs = bifurcation_scan("ricker", 9.0, 9.2, 3, samples_per_r=500)
+        for rec in recs:
+            assert np.all(np.isfinite(rec.samples)) and np.all(rec.samples >= 0.0)
+            assert rec.samples.max() > 1.0
+            assert math.isfinite(rec.lyapunov) and rec.lyapunov != rec.r
+
+    def test_ricker_k02_root_is_chaotic(self):
+        # the k = 0.2 equilibrium growth rate, as in the scalar test above
+        r = 9.146311040868133
+        rec = bifurcation_scan("ricker", r, r + 0.1, 2, samples_per_r=1, lyap_iters=20_000)[0]
+        assert 0.0 < rec.lyapunov < 1.0
 
     def test_lyapunov_crosses_zero_on_grid(self):
         recs = bifurcation_scan("logistic", 2.9, 4.0, 112, samples_per_r=5, lyap_iters=4_000)
@@ -152,6 +268,10 @@ class TestBifurcationScan:
             bifurcation_scan("logistic", 3.0, 2.0, 10)
         with pytest.raises(ValueError):
             bifurcation_scan("logistic", 2.0, 3.0, 1)
+        with pytest.raises(ValueError):
+            bifurcation_scan("logistic", math.nan, 3.0, 10)
+        with pytest.raises(ValueError):
+            bifurcation_scan("henon", 2.0, 3.0, 10)
 
 
 class TestTransitionReport:

@@ -49,6 +49,14 @@ class TestExitCodes:
         assert code == 2
         assert "bound=0.6875" in err
 
+    def test_theta_overflow_is_3_and_named(self, capsys):
+        # the noiseless k = 0.001 root r ~ 1388 exists, but its theta does not fit a float
+        code, _, err = run_cli(
+            capsys, "solve", "--map", "ricker", "--k", "0.001", "--var-eps", "0", "--r-max", "1e6"
+        )
+        assert code == 3
+        assert "theta = e^(r/(k+1))/r exceeds the float range" in err
+
     def test_success_is_0(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--map", "logistic", "--k", "2.0", "--var-eps", "0.1")
         assert code == 0
@@ -192,6 +200,17 @@ class TestLyapunov:
     def test_divergence_is_3(self, capsys):
         code, _, err = run_cli(capsys, "lyapunov", "--map", "logistic", "--r", "4.5")
         assert code == 3
+
+    @pytest.mark.parametrize("r", ["nan", "inf", "-1", "0"])
+    def test_bad_growth_rate_is_usage(self, capsys, r):
+        code, out, err = run_cli(capsys, "lyapunov", "--map", "logistic", "--r", r)
+        assert code == 1 and out == ""
+        assert "growth rate" in err
+
+    @pytest.mark.parametrize("x0", ["nan", "1.5"])
+    def test_start_outside_domain_is_3(self, capsys, x0):
+        code, out, _ = run_cli(capsys, "lyapunov", "--map", "logistic", "--r", "3.5", "--x0", x0)
+        assert code == 3 and out == ""
 
 
 class TestTransition:

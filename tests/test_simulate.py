@@ -11,6 +11,7 @@ from steadychaos import (
     logistic_solve,
     noise_draw,
     raw_moment,
+    maps,
     ricker_solve,
     run_ensemble,
     run_trajectory,
@@ -93,6 +94,24 @@ class TestRunTrajectory:
         assert traj.exited and traj.exit_step == 0
         assert np.isnan(traj.values[1:]).all()
 
+    @pytest.mark.parametrize("kind,x0", [("logistic", 0.0), ("logistic", 1.0), ("ricker", 0.0)])
+    def test_domain_is_open(self, kind, x0):
+        traj = run_trajectory(MapSpec(kind, 2.0), x0, NoiseSpec(0.0), 5, trajectory_rng(1, 0))
+        assert traj.exited and traj.exit_step == 0
+
+    def test_exit_step_is_first_value_outside(self):
+        # r = 4.5 takes the midpoint to 1.125, outside (0, 1), at step 2
+        traj = run_trajectory(MapSpec("logistic", 4.5), 0.1464466094067262, NoiseSpec(0.0), 6,
+                              trajectory_rng(1, 0))
+        assert traj.exited and traj.exit_step == 2
+        assert traj.values[2] > 1.0 and np.isnan(traj.values[3:]).all()
+
+    def test_overflow_is_an_exit(self):
+        # e^{r(1-x)} overflows a float at the first step
+        traj = run_trajectory(MapSpec("ricker", 800.0), 1e-3, NoiseSpec(0.0), 5, trajectory_rng(1, 0))
+        assert traj.exited and traj.exit_step == 1
+        assert traj.values[1] == np.inf
+
     def test_records_t_max_plus_one(self):
         traj = run_trajectory(MapSpec("ricker", 1.0), 0.5, NoiseSpec(0.05), 17, trajectory_rng(1, 1))
         assert len(traj.values) == 18
@@ -158,6 +177,33 @@ class TestRunEnsemble:
         assert 0.0 < stats.extinct_fraction < 1.0
         surviving = stats.mean[~np.isnan(stats.mean)]
         assert np.all((surviving > 0.0) & (surviving < 1.0))
+
+    @pytest.mark.parametrize("kind,r,x0,v", [("logistic", 2.8, 0.5, 0.4), ("ricker", 2.6, 0.7, 0.3)])
+    def test_matches_scalar_reference_loop(self, kind, r, x0, v):
+        # one trajectory at a time, stepped by the scalar kernel, with the
+        # same per-trajectory streams; Ricker differs by np.exp vs math.exp
+        n, t_max = 300, 25
+        spec = MapSpec(kind, r)
+        rows, exited = [], []
+        for i in range(n):
+            eps = noise_draw(NoiseSpec(v), trajectory_rng(SEED, i), size=t_max)
+            row, x, out = [x0], x0, False
+            for t in range(t_max):
+                x = step(spec, x, eps[t])
+                row.append(x)
+                out = not 0.0 < x < maps.UPPER[kind]
+                if out:
+                    break
+            exited.append(out)
+            rows.append(row + [np.nan] * (t_max + 1 - len(row)))
+        keep = np.array(rows)[~np.array(exited)]
+        stats = run_ensemble(spec, x0, NoiseSpec(v), t_max=t_max, n_traj=n, seed=SEED)
+        assert stats.extinct_fraction == np.mean(exited)
+        if kind == "logistic":
+            assert stats.extinct_fraction > 0.0
+            assert np.array_equal(stats.mean, keep.mean(axis=0))
+        else:
+            assert np.allclose(stats.mean, keep.mean(axis=0), rtol=1e-12, atol=0.0)
 
     def test_rejects_small_ensemble(self):
         with pytest.raises(ValueError):
