@@ -49,8 +49,9 @@ class TransitionReport:
     solution: EquilibriumSolution
 
 
-def _escape_error(kind: MapKind, x: float) -> DivergenceError:
-    return DivergenceError(f"{kind} orbit escaped [0, {maps.UPPER[kind]:g}] at x={x!r}")
+def _raise_if_escaped(kind: MapKind, x: float) -> None:
+    if not maps.in_domain(kind, x):
+        raise DivergenceError(f"{kind} orbit escaped [0, {maps.UPPER[kind]:g}] at x={x!r}")
 
 
 def lyapunov(
@@ -70,13 +71,11 @@ def lyapunov(
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     x = maps.DEFAULT_X0[kind][0] if x0 is None else x0
-    if not maps.in_domain(kind, x):
-        raise _escape_error(kind, x)
+    _raise_if_escaped(kind, x)
     y = math.log(x) if x > 0.0 else -math.inf
     for _ in range(burn_in):
         x, y = maps.orbit_step(kind, r, x, y)
-        if not maps.in_domain(kind, x):
-            raise _escape_error(kind, x)
+        _raise_if_escaped(kind, x)
     # two loops specialized from maps.orbit_step, maps.log_abs_derivative and
     # maps.in_domain: the iteration is inherently sequential and this is the
     # hot path
@@ -90,7 +89,7 @@ def lyapunov(
             total += math.log(abs(d))
             x = r * x * (1.0 - x)
             if not 0.0 <= x <= hi:
-                raise _escape_error(kind, x)
+                _raise_if_escaped(kind, x)
         return total / iters
     # Ricker carries y = ln x: near 0 the exponent would otherwise read r
     # from an orbit underflowed to the extinct state
@@ -103,7 +102,7 @@ def lyapunov(
         y += g
         x = math.exp(y)
         if not 0.0 <= x <= hi:
-            raise _escape_error(kind, x)
+            _raise_if_escaped(kind, x)
     return total / iters
 
 
@@ -111,14 +110,12 @@ def _detect_period(kind: MapKind, r: float, x0: float, p_max: int) -> Optional[i
     x = x0
     for _ in range(_CYCLE_TRANSIENT):
         x = maps.step(kind, r, x)
-        if not maps.in_domain(kind, x):
-            raise _escape_error(kind, x)
+        _raise_if_escaped(kind, x)
     ref = x
     scale = max(1.0, abs(ref))
     for p in range(1, p_max + 1):
         x = maps.step(kind, r, x)
-        if not maps.in_domain(kind, x):
-            raise _escape_error(kind, x)
+        _raise_if_escaped(kind, x)
         if abs(x - ref) < _CYCLE_TOL * scale:
             return p
     return None

@@ -164,14 +164,11 @@ def ricker_theta(r: float, k: float) -> float:
     _check_k(k)
     if not (r > 0):
         raise ValueError(f"ricker theta requires r > 0, got {r!r}")
-    s = r / (k + 1.0)
     try:
-        # past s ~ 709.8 e^s overflows, while theta = e^{s - ln r} may still fit
-        return math.expm1(s) / r if s < 700.0 else math.exp(s - math.log(r))
+        return math.expm1(r / (k + 1.0)) / r
     except OverflowError:
-        raise OverflowError(
-            f"theta = e^(r/(k+1))/r exceeds the float range at r={r!r}, k={k!r}"
-        ) from None
+        msg = f"theta = e^(r/(k+1))/r exceeds the float range at r={r!r}, k={k!r}"
+        raise OverflowError(msg) from None
 
 
 # Root structure. With s = r/(k+1), the residual vanishes iff

@@ -1,14 +1,14 @@
-"""The two maps, each defined once: logistic r x (1-x) eps and Ricker
-x e^{r(1-x)} eps. This bottom layer imports nothing from the package; ``x``
-and ``r`` may be floats (stepped with ``math.exp``) or NumPy arrays
-(``np.exp``).
+"""The two maps, each defined once: logistic r x (1-x) and Ricker x e^{r(1-x)};
+the stochastic maps multiply a step by the noise eps. This bottom layer
+imports nothing from the package. ``x`` and ``r`` may be floats (stepped with
+``math.exp``) or NumPy arrays (``np.exp``).
 
-The admissible domain is [0, 1] for the logistic map and [0, RICKER_X_CAP]
-for Ricker. A deterministic orbit lives on the closed domain: 0 is the
-extinct fixed point of both maps and logistic 1 maps onto it, so an orbit
-that touches them is still an orbit to analyse. A stochastic trajectory
-lives on the open domain: reaching 0 or 1 is extinction and reaching the cap
-is divergence, so the trajectory stops there. NaN is outside both.
+The domain is [0, 1] for the logistic map and [0, RICKER_X_CAP] for Ricker.
+A deterministic orbit lives on the closed domain: 0 is the extinct fixed
+point of both maps and logistic 1 maps onto it, so an orbit that touches
+them is still an orbit to analyse. A stochastic trajectory lives on the open
+domain: reaching 0 or 1 is extinction and reaching the cap is divergence, so
+the trajectory stops there. NaN is outside both.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ MapKind = Literal["logistic", "ricker"]
 # equilibrium scale k*theta in the tested regimes.
 RICKER_X_CAP = 1e6
 
-# upper end of the admissible domain; the lower end is 0 for both maps
+# upper end of the domain; the lower end is 0 for both maps
 UPPER = {"logistic": 1.0, "ricker": RICKER_X_CAP}
 
 # Generic starting points away from fixed points, superstable preimages,
@@ -44,12 +44,12 @@ def _exp(z):
     return math.exp(z) if isinstance(z, float) else np.exp(z)
 
 
-def step(kind: MapKind, r, x, eps=1.0):
-    """One iteration f(x) * eps; eps = 1 is the deterministic map."""
+def step(kind: MapKind, r, x):
+    """One iteration f(x) of the deterministic map."""
     if kind == "logistic":
-        return r * x * (1.0 - x) * eps
+        return r * x * (1.0 - x)
     if kind == "ricker":
-        return x * _exp(r * (1.0 - x)) * eps
+        return x * _exp(r * (1.0 - x))
     raise ValueError(f"unknown map kind {kind!r}")
 
 
@@ -73,9 +73,9 @@ def log_abs_derivative(kind: MapKind, r, x):
 def orbit_step(kind: MapKind, r, x, y):
     """One deterministic step that also carries y = ln x; returns (x', y').
 
-    Ricker advances y' = y + r(1-x) and takes x' = e^{y'}, so an orbit that
-    passes near 0 keeps its digits in y where the direct step would
-    underflow to the extinct state. The logistic map passes y through.
+    Ricker advances y' = y + r(1-x) and takes x' = e^{y'}, so an orbit near 0
+    keeps its digits in y where the direct step underflows to 0. The logistic
+    step does not use y and passes it through.
     """
     if kind == "ricker":
         y = y + r * (1.0 - x)

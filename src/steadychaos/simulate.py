@@ -81,7 +81,7 @@ def noise_draw(spec: NoiseSpec, rng: np.random.Generator, size: Optional[int] = 
 
 def step(map: MapSpec, x: float, eps: float) -> float:
     """One stochastic iteration; negative logistic outputs are returned as-is."""
-    return maps.step(map.kind, map.r, x, eps)
+    return maps.step(map.kind, map.r, x) * eps
 
 
 def _iterate(map: MapSpec, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -94,7 +94,7 @@ def _iterate(map: MapSpec, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
     # a step that overflows leaves the domain like any other escape
     with np.errstate(over="ignore"):
         for t in range(eps.shape[1]):
-            x = maps.step(map.kind, map.r, x, eps[:, t])
+            x = maps.step(map.kind, map.r, x) * eps[:, t]
             values[:, t + 1] = x
             x[~maps.in_open_domain(map.kind, x)] = np.nan
     return values
@@ -114,9 +114,8 @@ def run_trajectory(
     eps = noise_draw(noise, rng, size=t_max)
     values = _iterate(map, np.array([x0], dtype=float), eps[None, :])[0]
     outside = ~maps.in_open_domain(map.kind, values)
-    if not outside.any():
-        return Trajectory(values=values, exited=False, exit_step=None)
-    return Trajectory(values=values, exited=True, exit_step=int(np.argmax(outside)))
+    exit_step = int(np.argmax(outside)) if outside.any() else None
+    return Trajectory(values=values, exited=exit_step is not None, exit_step=exit_step)
 
 
 InitSpec = Union[float, GammaParams]
