@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=50)
     p.add_argument("--n-traj", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--n-workers", type=int, default=1)
+    p.add_argument("--n-workers", type=int, default=1,
+                   help="must be >= 1; accepted for compatibility, changes neither output nor speed")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_simulate)
 

@@ -1,14 +1,15 @@
 """Monte Carlo engine for the stochastic logistic and Ricker maps.
 
-Per-trajectory RNG streams are derived by a counter-based (Philox) split of
-(seed, trajectory index), so ensemble results are independent of execution
-order and worker count.
+An ensemble draws its randomness from counter-based (Philox) streams keyed by
+(seed, block index), one stream per fixed block of BLOCK trajectories
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Which
+variates a trajectory gets depends only on the seed and its index, so results
+are independent of the worker count by construction.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
@@ -18,6 +19,10 @@ from . import maps
 from .equilibrium import Branch, EquilibriumSolution, NoiseSpec, logistic_solve, ricker_solve
 from .gamma_core import GammaParams
 from .maps import MapKind
+
+# Trajectories per ensemble stream: a constant, never derived from the worker
+# count or the ensemble size, so block b always holds the same trajectories.
+BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,8 @@ class StationarityReport:
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for trajectory ``index`` under master ``seed``."""
+    """Counter-based stream ``index`` under master ``seed``; ``run_ensemble``
+    draws block ``index`` of its trajectories from it."""
     if seed < 0 or index < 0:
         raise ValueError("seed and index must be nonnegative")
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
@@ -130,35 +136,31 @@ def run_ensemble(
     seed: int,
     n_workers: int = 1,
 ) -> EnsembleStats:
-    """Ensemble of independent trajectories with per-trajectory streams.
+    """Ensemble of independent trajectories, drawn block by block.
 
-    ``init`` is either a point mass (float x0) or ``GammaParams`` (x0 drawn
-    as the stream's first variate). Trajectories that exit the admissible
-    region are counted in ``extinct_fraction`` and excluded from all moment
-    estimates. Workers write disjoint rows and the reduction runs once over
-    the assembled matrix, so results are bit-identical for any worker count.
+    Block b holds trajectories [b*BLOCK, min((b+1)*BLOCK, n_traj)) and draws
+    from ``trajectory_rng(seed, b)``: first its start points when ``init`` is
+    ``GammaParams`` (a float ``init`` is a point mass), then its noise, row by
+    row. Trajectories that exit the admissible region are counted in
+    ``extinct_fraction`` and excluded from all moment estimates. ``n_workers``
+    must be >= 1 and does not change the result or the code path; it is kept
+    for callers that pass it.
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    x0 = np.empty(n_traj)
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    gamma_init = isinstance(init, GammaParams)
+    x0 = np.empty(n_traj) if gamma_init else np.full(n_traj, float(init))
     eps = np.empty((n_traj, t_max))
-
-    def draw(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = trajectory_rng(seed, i)
-            x0[i] = rng.gamma(init.k, init.theta) if isinstance(init, GammaParams) else init
-            eps[i] = noise_draw(noise, rng, size=t_max)
-
-    if n_workers <= 1:
-        draw(0, n_traj)
-    else:
-        chunk = -(-n_traj // n_workers)
-        bounds = [(lo, min(lo + chunk, n_traj)) for lo in range(0, n_traj, chunk)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for future in [pool.submit(draw, lo, hi) for lo, hi in bounds]:
-                future.result()
+    for b, lo in enumerate(range(0, n_traj, BLOCK)):
+        rows = min(BLOCK, n_traj - lo)
+        rng = trajectory_rng(seed, b)
+        if gamma_init:
+            x0[lo:lo + rows] = rng.gamma(init.k, init.theta, size=rows)
+        eps[lo:lo + rows] = noise_draw(noise, rng, size=rows * t_max).reshape(rows, t_max)
 
     values = _iterate(map, x0, eps)
     exited = ~maps.in_open_domain(map.kind, values[:, -1])
@@ -176,8 +178,11 @@ def run_ensemble(
     constant = keep.max(axis=0) == keep.min(axis=0)
     variance[constant] = 0.0
     se_mean = np.sqrt(variance / n)
+    # fourth powers by squaring in place: x**4 goes through the slow pow()
     centered = keep - mean
-    m4 = (centered**4).mean(axis=0)
+    centered *= centered
+    centered *= centered
+    m4 = centered.mean(axis=0)
     se_variance = np.sqrt(np.clip((m4 - (n - 3) / (n - 1) * variance**2) / n, 0.0, None))
     return EnsembleStats(times, mean, variance, se_mean, se_variance, n_traj, extinct_fraction)
 
@@ -220,7 +225,10 @@ def stationarity_check(
     se_m = x1.std(ddof=1) / math.sqrt(n)
     mean_z = float((m - k * b.theta) / se_m)
     v_hat = x1.var(ddof=1)
-    m4 = ((x1 - m) ** 4).mean()
+    d4 = x1 - m
+    d4 *= d4
+    d4 *= d4
+    m4 = d4.mean()
     se_v = math.sqrt(max((m4 - (n - 3) / (n - 1) * v_hat**2) / n, 0.0))
     var_z = float((v_hat - k * b.theta**2) / se_v)
     return StationarityReport(

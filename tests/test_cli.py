@@ -33,6 +33,15 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("n_workers", ["0", "-3"])
+    def test_fewer_than_one_worker_is_usage(self, capsys, n_workers):
+        code, out, err = run_cli(
+            capsys, "simulate", "--map", "logistic", "--r", "2.0", "--x0", "0.3",
+            "--n-traj", "10", "--n-workers", n_workers,
+        )
+        assert code == 1 and out == ""
+        assert "n_workers" in err
+
     def test_infeasible_is_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--map", "logistic", "--k", "2.0", "--var-eps", "0.3")
         assert code == 2

@@ -19,6 +19,7 @@ from steadychaos import (
     step,
     trajectory_rng,
 )
+from steadychaos.simulate import BLOCK
 
 SEED = 20250823
 
@@ -178,26 +179,42 @@ class TestRunEnsemble:
         surviving = stats.mean[~np.isnan(stats.mean)]
         assert np.all((surviving > 0.0) & (surviving < 1.0))
 
-    @pytest.mark.parametrize("kind,r,x0,v", [("logistic", 2.8, 0.5, 0.4), ("ricker", 2.6, 0.7, 0.3)])
-    def test_matches_scalar_reference_loop(self, kind, r, x0, v):
-        # one trajectory at a time, stepped by the scalar kernel, with the
-        # same per-trajectory streams; Ricker differs by np.exp vs math.exp
-        n, t_max = 300, 25
+    @pytest.mark.parametrize(
+        "kind,r,init,v",
+        [
+            ("logistic", 2.8, 0.5, 0.4),
+            ("ricker", 2.6, 0.7, 0.3),
+            pytest.param("logistic", 2.8, GammaParams(8.0, 0.06), 0.4, id="logistic-gamma-init"),
+            pytest.param("ricker", 2.6, GammaParams(2.0, 0.3), 0.3, id="ricker-gamma-init"),
+        ],
+    )
+    def test_matches_scalar_reference_loop(self, kind, r, init, v):
+        # one trajectory at a time, stepped by the scalar kernel; each block
+        # draws its start points, then its noise, from its own stream. The
+        # last block is partial. Ricker differs by np.exp vs math.exp
+        n, t_max = 2 * BLOCK + 37, 10
         spec = MapSpec(kind, r)
+
+        def inside(x):
+            return 0.0 < x < maps.UPPER[kind]
+
         rows, exited = [], []
-        for i in range(n):
-            eps = noise_draw(NoiseSpec(v), trajectory_rng(SEED, i), size=t_max)
-            row, x, out = [x0], x0, False
-            for t in range(t_max):
-                x = step(spec, x, eps[t])
-                row.append(x)
-                out = not 0.0 < x < maps.UPPER[kind]
-                if out:
-                    break
-            exited.append(out)
-            rows.append(row + [np.nan] * (t_max + 1 - len(row)))
+        for b, lo in enumerate(range(0, n, BLOCK)):
+            size = min(BLOCK, n - lo)
+            rng = trajectory_rng(SEED, b)
+            if isinstance(init, GammaParams):
+                starts = rng.gamma(init.k, init.theta, size=size)
+            else:
+                starts = [init] * size
+            eps = noise_draw(NoiseSpec(v), rng, size=size * t_max).reshape(size, t_max)
+            for x0, e in zip(starts, eps):
+                row = [float(x0)]
+                while len(row) <= t_max and inside(row[-1]):
+                    row.append(step(spec, row[-1], e[len(row) - 1]))
+                exited.append(not inside(row[-1]))
+                rows.append(row + [np.nan] * (t_max + 1 - len(row)))
         keep = np.array(rows)[~np.array(exited)]
-        stats = run_ensemble(spec, x0, NoiseSpec(v), t_max=t_max, n_traj=n, seed=SEED)
+        stats = run_ensemble(spec, init, NoiseSpec(v), t_max=t_max, n_traj=n, seed=SEED)
         assert stats.extinct_fraction == np.mean(exited)
         if kind == "logistic":
             assert stats.extinct_fraction > 0.0
