@@ -1,9 +1,9 @@
 """Gamma-distribution machinery: density, raw and Laplace-weighted moments,
 central moments, and sampling.
 
-All gamma-function ratios are evaluated in log space (via ``gammaln``) so
-that large shape parameters (k up to ~1e6) do not overflow intermediate
-terms.
+Gamma-function ratios Gamma(k+n)/Gamma(k) are sums of logs (``math.fsum``)
+and the density is evaluated in log space with ``math.lgamma``, so that
+large shape parameters (k up to ~1e7) do not overflow intermediate terms.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -42,6 +41,13 @@ class GammaParams:
         return self.k * self.theta**2
 
 
+def _exp_in_range(log_value: float, what: str, p: GammaParams) -> float:
+    """e^log_value; past the float range, an OverflowError naming ``what`` and p."""
+    if log_value > _LOG_FLOAT_MAX:
+        raise OverflowError(f"{what} of Gamma(k={p.k}, theta={p.theta}) exceeds float range")
+    return math.exp(log_value)
+
+
 def _check_order(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"moment order must be an integer, got {n!r}")
@@ -52,20 +58,20 @@ def _check_order(n: int) -> int:
 
 def gamma_pdf(x: float, p: GammaParams) -> float:
     """Density x^{k-1} e^{-x/theta} / (Gamma(k) theta^k), evaluated in log space."""
-    if not (x > 0):
-        raise ValueError(f"gamma density requires x > 0, got {x!r}")
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"gamma density requires finite x > 0, got {x!r}")
     log_pdf = (
         (p.k - 1.0) * math.log(x)
         - x / p.theta
-        - gammaln(p.k)
+        - math.lgamma(p.k)
         - p.k * math.log(p.theta)
     )
-    return math.exp(log_pdf)
+    return _exp_in_range(log_pdf, f"gamma density at x={x!r}", p)
 
 
 def _gamma_ratio_log(k: float, n: int) -> float:
     """ln(Gamma(k+n)/Gamma(k)) = sum ln(k+j); summed directly rather than as a
-    gammaln difference, which loses ~k*eps absolute accuracy for large k."""
+    lgamma difference, which loses ~k*eps absolute accuracy for large k."""
     return math.fsum(math.log(k + j) for j in range(n))
 
 
@@ -79,16 +85,12 @@ def raw_moment(p: GammaParams, n: int) -> float:
     if n == 0:
         return 1.0
     log_m = n * math.log(p.theta) + _gamma_ratio_log(p.k, n)
-    if log_m > _LOG_FLOAT_MAX:
-        raise OverflowError(
-            f"raw moment n={n} of Gamma(k={p.k}, theta={p.theta}) exceeds float range"
-        )
     if log_m < 0.95 * _LOG_FLOAT_MAX:
         prod = 1.0
         for j in range(n):
             prod *= (p.k + j) * p.theta
         return prod
-    return math.exp(log_m)
+    return _exp_in_range(log_m, f"raw moment n={n}", p)
 
 
 def laplace_moment(p: GammaParams, n: int, s: float) -> float:
@@ -103,7 +105,7 @@ def laplace_moment(p: GammaParams, n: int, s: float) -> float:
         + n * math.log(p.theta)
         - (p.k + n) * math.log1p(s * p.theta)
     )
-    return math.exp(log_m)
+    return _exp_in_range(log_m, f"laplace moment n={n} at s={s!r}", p)
 
 
 def central_moment3(p: GammaParams) -> float:

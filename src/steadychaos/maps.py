@@ -62,6 +62,15 @@ def derivative(kind: MapKind, r, x):
     raise ValueError(f"unknown map kind {kind!r}")
 
 
+def second_derivative(kind: MapKind, r, x):
+    """f''(x) of the deterministic map."""
+    if kind == "logistic":
+        return -2.0 * r
+    if kind == "ricker":
+        return r * _exp(r * (1.0 - x)) * (r * x - 2.0)
+    raise ValueError(f"unknown map kind {kind!r}")
+
+
 def log_abs_derivative(kind: MapKind, r, x):
     """ln|f'(x)|, -inf where f'(x) = 0. The Ricker form r(1-x) + ln|1-rx|
     stays finite where e^{r(1-x)} underflows."""

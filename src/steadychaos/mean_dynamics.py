@@ -7,7 +7,6 @@ through the convergence-order diagnostics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
@@ -33,22 +32,22 @@ class MeanState:
 
 
 def logistic_mean_update(r: float, state: MeanState) -> float:
-    """Exact one-step mean: r y (1-y) - r Var(X); no truncation."""
-    return r * state.y * (1.0 - state.y) - r * state.var_x
+    """Exact one-step mean f(y) + f''(y) Var(X)/2 = r y (1-y) - r Var(X); f is quadratic."""
+    y, v = state.y, state.var_x
+    return maps.step("logistic", r, y) + maps.second_derivative("logistic", r, y) * v / 2
 
 
 def ricker_mean_update(
     r: float, state: MeanState, order: Literal["leading", "corrected"] = "corrected"
 ) -> float:
-    """One-step mean y e^{r(1-y)}, optionally with the second-order
-    variance correction e^{r(1-y)} (r^2 y / 2 - r) Var(X)."""
-    growth = math.exp(r * (1.0 - state.y))
-    base = state.y * growth
-    if order == "leading":
-        return base
-    if order != "corrected":
+    """One-step mean f(y) = y e^{r(1-y)}, optionally with the second-order
+    variance correction f''(y) Var(X)/2 = e^{r(1-y)} (r^2 y / 2 - r) Var(X)."""
+    if order not in ("leading", "corrected"):
         raise ValueError(f"order must be 'leading' or 'corrected', got {order!r}")
-    return base + growth * (r * r * state.y / 2.0 - r) * state.var_x
+    f = maps.step("ricker", r, state.y)
+    if order == "leading":
+        return f
+    return f + maps.second_derivative("ricker", r, state.y) * state.var_x / 2
 
 
 def deterministic_orbit(kind: MapKind, r: float, x0: float, t_max: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,24 @@ class TestSharedKernel:
         scalar = np.array([maps.step("ricker", r, x) for x in xs])
         array = maps.step("ricker", r, np.array(xs))
         assert np.all(np.abs(array - scalar) <= 2.0 * np.spacing(scalar))
+
+    @pytest.mark.parametrize("kind,xs", [
+        ("logistic", (0.0, 0.1, 0.5, 0.9, 1.0)),
+        ("ricker", (0.0, 0.1, 0.7, 1.0, 1.3, 3.0, 10.0)),
+    ])
+    @pytest.mark.parametrize("r", [0.5, 1.5, 2.0, 3.7, 9.146])
+    def test_second_derivative_vs_mpmath(self, kind, xs, r):
+        f = {
+            "logistic": lambda x: r * x * (1 - x),
+            "ricker": lambda x: x * mpmath.exp(r * (1 - x)),
+        }[kind]
+        for x in xs:
+            with mpmath.workdps(40):
+                exact = mpmath.diff(f, mpmath.mpf(x), 2)
+            # rounding of r(1-x) in the exponent, and of rx - 2 next to its zero
+            scale = r * math.exp(r * (1.0 - x)) * (r * x + 2.0) if kind == "ricker" else r
+            tol = 8 * 2.0**-52 * (1 + abs(r * (1.0 - x))) * scale
+            assert abs(maps.second_derivative(kind, r, x) - exact) <= tol, x
 
     @staticmethod
     def _kernel_lyapunov(kind, r, x0, burn_in, iters):

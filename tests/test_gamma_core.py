@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from steadychaos import (
     sample,
 )
 
+EPS = 2.0**-52
 GRID_K = (0.3, 1.0, 2.0, 10.0, 100.0)
 GRID_THETA = (0.1, 1.0, 3.0)
 
@@ -53,6 +55,42 @@ class TestPdf:
             gamma_pdf(0.0, GammaParams(2.0, 1.0))
         with pytest.raises(ValueError):
             gamma_pdf(-1.0, GammaParams(2.0, 1.0))
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_rejects_nonfinite_x(self, x):
+        with pytest.raises(ValueError, match="finite x > 0"):
+            gamma_pdf(x, GammaParams(2.0, 1.0))
+
+    def test_overflow_reported(self):
+        # x^{k-1} at the smallest subnormal exceeds the float range for k = 0.01
+        with pytest.raises(OverflowError, match="exceeds float range"):
+            gamma_pdf(5e-324, GammaParams(0.01, 1.0))
+
+    def test_lgamma_vs_mpmath(self):
+        # absolute error scaled by 1 + |ln Gamma(k)|: ln Gamma has zeros at
+        # k = 1 and 2, where no relative bound holds
+        with mpmath.workdps(40):
+            for j in range(-60, 71):
+                k = 10.0 ** (j / 10)
+                exact = mpmath.loggamma(mpmath.mpf(k))
+                err = abs(mpmath.mpf(math.lgamma(k)) - exact)
+                assert err <= 4 * EPS * (1 + abs(exact)), k
+
+    @pytest.mark.parametrize("k", [1e-6, 1e-3, 0.5, 1.5, 2.0, 10.0, 1e3, 1e6, 1e7])
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 3.0])
+    def test_pdf_vs_mpmath(self, k, theta):
+        p = GammaParams(k, theta)
+        mean, sd = k * theta, math.sqrt(k) * theta
+        points = [x for x in ((k - 1.0) * theta, mean, mean - 3 * sd, mean + 3 * sd) if x > 0]
+        with mpmath.workdps(40):
+            K, T = mpmath.mpf(k), mpmath.mpf(theta)
+            for x in points:
+                X = mpmath.mpf(x)
+                exact = mpmath.exp((K - 1) * mpmath.log(X) - X / T - mpmath.loggamma(K) - K * mpmath.log(T))
+                # conditioning of the log-space sum: each term's rounding
+                # becomes a relative error of the density
+                cond = 1 + abs(mpmath.loggamma(K)) + abs((K - 1) * mpmath.log(X)) + X / T + abs(K * mpmath.log(T))
+                assert abs(gamma_pdf(x, p) - exact) <= 16 * EPS * cond * exact, (x, k, theta)
 
     @pytest.mark.parametrize("k", GRID_K)
     def test_normalization(self, k):
@@ -125,6 +163,10 @@ class TestLaplaceMoment:
     def test_rejects_negative_s(self):
         with pytest.raises(ValueError):
             laplace_moment(GammaParams(1.0, 1.0), 1, -0.1)
+
+    def test_overflow_reported(self):
+        with pytest.raises(OverflowError, match="laplace moment n=4"):
+            laplace_moment(GammaParams(1.0, 1e300), 4, 1e-320)
 
 
 class TestCentralMoments:

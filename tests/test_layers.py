@@ -2,6 +2,9 @@
 and simulation above it side by side, the CLI on top."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,43 @@ def test_chaos_and_simulate_are_independent():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])
 def test_nothing_imports_the_cli(module):
     assert "cli" not in package_imports(module)
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import steadychaos
+from steadychaos.cli import main
+
+for argv in [
+    ["self-check"],
+    ["solve", "--map", "ricker", "--k", "1.0", "--var-eps", "0.05"],
+    ["transition", "--map", "logistic", "--k", "1.0", "--var-eps", "0.05"],
+    ["stationarity", "--map", "logistic", "--k", "2.0", "--var-eps", "0.1", "--n-traj", "1000"],
+    ["simulate", "--map", "ricker", "--r", "1.5", "--x0", "0.7", "--t-max", "5", "--n-traj", "100"],
+    ["converge", "--map", "logistic", "--r", "2.0", "--ladder", "1e-3,1e-4", "--t-max", "5",
+     "--n-traj", "200"],
+]:
+    code = main(argv)
+    if code != 0:
+        raise SystemExit(f"{argv[0]} exited {code}")
+if "scipy" in sys.modules:
+    raise SystemExit("scipy was imported")
+"""
+
+
+def test_cli_runs_without_scipy():
+    """SciPy is a test oracle only: with every scipy import blocked, the
+    package imports and the commands above exit 0 without importing it."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
