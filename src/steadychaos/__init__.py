@@ -26,6 +26,7 @@ from .equilibrium import (
     ricker_residual,
     ricker_solve,
     ricker_theta,
+    solve,
 )
 from .gamma_core import (
     GammaParams,

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import maps
-from .equilibrium import EquilibriumSolution, logistic_solve, ricker_solve
+from .equilibrium import EquilibriumSolution, solve
 from .maps import MapKind
 from .maps import derivative as det_derivative, step as det_step  # public names
 
@@ -225,7 +225,7 @@ def transition_report(
 ) -> TransitionReport:
     """Solve the equilibrium branches and classify each growth rate
     deterministically; transition_found iff any branch is chaotic."""
-    sol = logistic_solve(k, var_eps) if kind == "logistic" else ricker_solve(k, var_eps)
+    sol = solve(kind, k, var_eps)
     classified = tuple(
         (b.label, classify(kind, b.r, lyap_tol=lyap_tol, iters=iters)) for b in sol.branches
     )

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import chaos, equilibrium, mean_dynamics, selfcheck, simulate
+from . import chaos, equilibrium, maps, mean_dynamics, selfcheck, simulate
 from .equilibrium import InfeasibleError, NoRootError, NoiseSpec
 from .gamma_core import GammaParams
 
@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 
@@ -54,11 +54,7 @@ def _emit(header: list[str], rows: list[list], fmt: str, output: Optional[str]) 
             lines.append(",".join(_fmt(v) for v in row))
     else:
         for row in rows:
-            obj = {
-                key: (bool(v) if isinstance(v, (bool, np.bool_)) else v)
-                for key, v in zip(header, row)
-            }
-            lines.append(json.dumps(obj))
+            lines.append(json.dumps(dict(zip(header, row))))
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -74,18 +70,12 @@ def _comma_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
 
 
-def _solve(map_kind: str, k: float, var_eps: float, r_max: float):
-    if map_kind == "logistic":
-        return equilibrium.logistic_solve(k, var_eps)
-    return equilibrium.ricker_solve(k, var_eps, r_max=r_max)
-
-
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    sol = _solve(args.map, args.k, args.var_eps, args.r_max)
+    sol = equilibrium.solve(args.map, args.k, args.var_eps, r_max=args.r_max)
     print(f"map={sol.map} k={_fmt(sol.k)} var_eps={_fmt(sol.var_eps)} bound_var={_fmt(sol.bound_var)}")
     for b in sol.branches:
         print(
@@ -105,7 +95,7 @@ def cmd_scan(args) -> int:
         for v in grid:
             v = float(v)
             try:
-                sol = _solve(args.map, k, v, args.r_max)
+                sol = equilibrium.solve(args.map, k, v, r_max=args.r_max)
             except (InfeasibleError, NoRootError):
                 rows.append([k, v, "none", float("nan"), float("nan"), False])
                 continue
@@ -119,13 +109,15 @@ def cmd_ricker_curve(args) -> int:
     header = ["k", "r"]
     rows = []
     for k in np.linspace(args.k_min, args.k_max, args.steps):
-        sol = equilibrium.ricker_solve(float(k), 0.0, r_max=args.r_max)
+        sol = equilibrium.solve("ricker", float(k), 0.0, r_max=args.r_max)
         rows.append([float(k), sol.branches[0].r])
     _emit(header, rows, args.format, args.output)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    if args.n_workers < 1:
+        raise UsageError(f"n_workers must be >= 1, got {args.n_workers}")
     if args.x0 is not None and (args.init_k is not None or args.init_theta is not None):
         raise UsageError("give either --x0 or --init-k/--init-theta, not both")
     if args.x0 is not None:
@@ -141,7 +133,6 @@ def cmd_simulate(args) -> int:
         t_max=args.t_max,
         n_traj=args.n_traj,
         seed=args.seed,
-        n_workers=args.n_workers,
     )
     header = ["t", "mean", "variance", "se_mean", "se_variance", "extinct_fraction"]
     rows = [
@@ -222,6 +213,10 @@ class UsageError(ValueError):
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_map_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--map", choices=tuple(maps.UPPER), required=True)
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output file path (default: stdout)")
@@ -232,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("solve", help="equilibrium branches r+/- and theta for (k, var_eps)")
-    p.add_argument("--map", choices=("logistic", "ricker"), required=True)
+    _add_map_flag(p)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--var-eps", type=float, required=True)
     p.add_argument("--r-max", type=float, default=equilibrium.RICKER_DEFAULT_R_MAX)
     p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("scan", help="branch curves r(var_eps) over a uniform grid")
-    p.add_argument("--map", choices=("logistic", "ricker"), required=True)
+    _add_map_flag(p)
     p.add_argument("--k", type=_comma_floats, required=True, help="comma-separated shape values")
     p.add_argument("--var-eps-max", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=21)
@@ -256,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ricker_curve)
 
     p = sub.add_parser("simulate", help="Monte Carlo ensemble statistics per time step")
-    p.add_argument("--map", choices=("logistic", "ricker"), required=True)
+    _add_map_flag(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--noise-var", type=float, default=0.0)
-    p.add_argument("--family", choices=("gamma", "lognormal"), default="gamma")
+    p.add_argument("--family", choices=equilibrium.FAMILIES, default="gamma")
     p.add_argument("--x0", type=float, default=None, help="point-mass initial condition")
     p.add_argument("--init-k", type=float, default=None, help="gamma initial shape")
     p.add_argument("--init-theta", type=float, default=None, help="gamma initial scale")
@@ -272,17 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("stationarity", help="one-step moment preservation z-test")
-    p.add_argument("--map", choices=("logistic", "ricker"), required=True)
+    _add_map_flag(p)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--var-eps", type=float, required=True)
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    p.add_argument("--family", choices=("gamma", "lognormal"), default="gamma")
+    p.add_argument("--family", choices=equilibrium.FAMILIES, default="gamma")
     p.add_argument("--n-traj", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(handler=cmd_stationarity)
 
     p = sub.add_parser("bifurcate", help="attractor samples and Lyapunov exponents over r")
-    p.add_argument("--map", choices=("logistic", "ricker"), required=True)
+    _add_map_flag(p)
     p.add_argument("--r-min", type=float, required=True)
     p.add_argument("--r-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)
@@ -291,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_bifurcate)
 
     p = sub.add_parser("lyapunov", help="Lyapunov exponent of the deterministic map")
-    p.add_argument("--map", choices=("logistic", "ricker"), required=True)
+    _add_map_flag(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--burn-in", type=int, default=chaos.DEFAULT_BURN_IN)
@@ -299,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lyapunov)
 
     p = sub.add_parser("transition", help="steady-state-to-chaos verdict for (k, var_eps)")
-    p.add_argument("--map", choices=("logistic", "ricker"), required=True)
+    _add_map_flag(p)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--var-eps", type=float, required=True)
     p.set_defaults(handler=cmd_transition)
 
     p = sub.add_parser("converge", help="stochastic-to-deterministic convergence sweep")
-    p.add_argument("--map", choices=("logistic", "ricker"), required=True)
+    _add_map_flag(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--ladder", type=_comma_floats, required=True,
                    help="strictly decreasing variance levels, e.g. 1e-2,1e-3,1e-4")

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
 from .maps import MapKind
 
 RICKER_DEFAULT_R_MAX = 10.0
+
+NoiseFamily = Literal["gamma", "lognormal"]
+FAMILIES = get_args(NoiseFamily)
 
 
 class InfeasibleError(ValueError):
@@ -45,12 +48,12 @@ class NoiseSpec:
     """
 
     variance: float
-    family: Literal["gamma", "lognormal"] = "gamma"
+    family: NoiseFamily = "gamma"
 
     def __post_init__(self) -> None:
         if not (self.variance >= 0 and math.isfinite(self.variance)):
             raise ValueError(f"noise variance must be finite and >= 0, got {self.variance!r}")
-        if self.family not in ("gamma", "lognormal"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
 
 
@@ -68,7 +71,6 @@ class EquilibriumSolution:
     k: float
     var_eps: float
     branches: tuple[Branch, ...]
-    feasible: bool
     bound_var: float
     roots_beyond_rmax: bool = False
 
@@ -134,7 +136,6 @@ def logistic_solve(k: float, var_eps: float) -> EquilibriumSolution:
         k=k,
         var_eps=var_eps,
         branches=tuple(branches),
-        feasible=True,
         bound_var=bound,
     )
 
@@ -263,7 +264,17 @@ def ricker_solve(
         k=k,
         var_eps=var_eps,
         branches=branches,
-        feasible=True,
         bound_var=bound_var,
         roots_beyond_rmax=r_plus > r_max,
     )
+
+
+def solve(
+    kind: MapKind, k: float, var_eps: float, r_max: float = RICKER_DEFAULT_R_MAX
+) -> EquilibriumSolution:
+    """Both growth-rate branches of either map; ``r_max`` bounds the Ricker roots only."""
+    if kind == "logistic":
+        return logistic_solve(k, var_eps)
+    if kind == "ricker":
+        return ricker_solve(k, var_eps, r_max=r_max)
+    raise ValueError(f"unknown map kind {kind!r}")

@@ -35,9 +35,9 @@ def _check_gamma_moments() -> tuple[str, bool, str]:
 def _check_logistic_residuals() -> tuple[str, bool, str]:
     worst = 0.0
     for k in (0.01, 1.0, 2.0, 10.0, 100.0):
-        bound = min(1.0 / (k + 2.0), 0.5)
+        bound = equilibrium.logistic_feasibility(k, 0.0)[1]
         for v in np.linspace(0.0, bound, 20):
-            sol = equilibrium.logistic_solve(k, float(v))
+            sol = equilibrium.solve("logistic", k, float(v))
             for b in sol.branches:
                 worst = max(worst, abs(equilibrium.logistic_quadratic_residual(b.r, k, float(v))))
     return "logistic quadratic residuals", worst < 1e-10, f"worst |residual| {worst:.3e}"
@@ -47,7 +47,7 @@ def _check_ricker_residuals() -> tuple[str, bool, str]:
     worst = 0.0
     worst_theta = 0.0
     for k in (0.5, 1.0, 2.0, 10.0, 100.0):
-        sol = equilibrium.ricker_solve(k, 0.0)
+        sol = equilibrium.solve("ricker", k, 0.0)
         for b in sol.branches:
             worst = max(worst, abs(equilibrium.ricker_residual(b.r, k, 0.0)))
             # mean stationarity: 1 + r theta = e^{r/(k+1)}

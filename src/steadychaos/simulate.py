@@ -3,8 +3,7 @@
 An ensemble draws its randomness from counter-based (Philox) streams keyed by
 (seed, block index), one stream per fixed block of BLOCK trajectories
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Which
-variates a trajectory gets depends only on the seed and its index, so results
-are independent of the worker count by construction.
+variates a trajectory gets depends only on the seed and its index.
 """
 
 from __future__ import annotations
@@ -16,12 +15,12 @@ from typing import Literal, Optional, Union
 import numpy as np
 
 from . import maps
-from .equilibrium import Branch, EquilibriumSolution, NoiseSpec, logistic_solve, ricker_solve
+from .equilibrium import Branch, EquilibriumSolution, NoiseFamily, NoiseSpec, solve
 from .gamma_core import GammaParams
 from .maps import MapKind
 
-# Trajectories per ensemble stream: a constant, never derived from the worker
-# count or the ensemble size, so block b always holds the same trajectories.
+# Trajectories per ensemble stream: a constant, never derived from the
+# ensemble size, so block b always holds the same trajectories.
 BLOCK = 1024
 
 
@@ -124,6 +123,28 @@ def run_trajectory(
     return Trajectory(values=values, exited=exit_step is not None, exit_step=exit_step)
 
 
+def _moments(x: np.ndarray):
+    """Mean, variance (ddof=1), se_mean and se_variance over axis 0; NaN
+    when x has fewer than two rows."""
+    n = x.shape[0]
+    if n < 2:
+        nan = np.full(x.shape[1:], np.nan)
+        return nan, nan, nan, nan
+    mean = x.mean(axis=0)
+    # a constant column has exactly zero variance; the generic formula leaves
+    # ~eps^2 residue from the rounded mean
+    constant = x.max(axis=0) == x.min(axis=0)
+    variance = np.where(constant, 0.0, x.var(axis=0, ddof=1))
+    se_mean = np.sqrt(variance / n)
+    # fourth powers by squaring in place: x**4 goes through the slow pow()
+    centered = x - mean
+    centered *= centered
+    centered *= centered
+    m4 = centered.mean(axis=0)
+    se_variance = np.sqrt(np.clip((m4 - (n - 3) / (n - 1) * variance**2) / n, 0.0, None))
+    return mean, variance, se_mean, se_variance
+
+
 InitSpec = Union[float, GammaParams]
 
 
@@ -134,7 +155,6 @@ def run_ensemble(
     t_max: int,
     n_traj: int,
     seed: int,
-    n_workers: int = 1,
 ) -> EnsembleStats:
     """Ensemble of independent trajectories, drawn block by block.
 
@@ -142,16 +162,12 @@ def run_ensemble(
     from ``trajectory_rng(seed, b)``: first its start points when ``init`` is
     ``GammaParams`` (a float ``init`` is a point mass), then its noise, row by
     row. Trajectories that exit the admissible region are counted in
-    ``extinct_fraction`` and excluded from all moment estimates. ``n_workers``
-    must be >= 1 and does not change the result or the code path; it is kept
-    for callers that pass it.
+    ``extinct_fraction`` and excluded from all moment estimates.
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     gamma_init = isinstance(init, GammaParams)
     x0 = np.empty(n_traj) if gamma_init else np.full(n_traj, float(init))
     eps = np.empty((n_traj, t_max))
@@ -164,27 +180,9 @@ def run_ensemble(
 
     values = _iterate(map, x0, eps)
     exited = ~maps.in_open_domain(map.kind, values[:, -1])
-    keep = values[~exited]
-    n = keep.shape[0]
-    extinct_fraction = float(exited.mean())
-    times = np.arange(t_max + 1)
-    if n < 2:
-        nanrow = np.full(t_max + 1, np.nan)
-        return EnsembleStats(times, nanrow, nanrow, nanrow, nanrow, n_traj, extinct_fraction)
-    mean = keep.mean(axis=0)
-    variance = keep.var(axis=0, ddof=1)
-    # a constant column has exactly zero variance; the generic formula leaves
-    # ~eps^2 residue from the rounded mean
-    constant = keep.max(axis=0) == keep.min(axis=0)
-    variance[constant] = 0.0
-    se_mean = np.sqrt(variance / n)
-    # fourth powers by squaring in place: x**4 goes through the slow pow()
-    centered = keep - mean
-    centered *= centered
-    centered *= centered
-    m4 = centered.mean(axis=0)
-    se_variance = np.sqrt(np.clip((m4 - (n - 3) / (n - 1) * variance**2) / n, 0.0, None))
-    return EnsembleStats(times, mean, variance, se_mean, se_variance, n_traj, extinct_fraction)
+    return EnsembleStats(
+        np.arange(t_max + 1), *_moments(values[~exited]), n_traj, float(exited.mean())
+    )
 
 
 def _pick_branch(sol: EquilibriumSolution, branch: str) -> Branch:
@@ -201,7 +199,7 @@ def stationarity_check(
     branch: Literal["plus", "minus"],
     n_traj: int,
     seed: int,
-    family: Literal["gamma", "lognormal"] = "gamma",
+    family: NoiseFamily = "gamma",
     r_offset: float = 0.0,
 ) -> StationarityReport:
     """One-step moment preservation test at the equilibrium construction.
@@ -210,8 +208,9 @@ def stationarity_check(
     z-scores the sample mean against k*theta and the sample variance against
     k*theta^2. ``r_offset`` perturbs the solved growth rate (negative control).
     """
-    sol = logistic_solve(k, var_eps) if map_kind == "logistic" else ricker_solve(k, var_eps)
-    b = _pick_branch(sol, branch)
+    if n_traj < 2:
+        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
+    b = _pick_branch(solve(map_kind, k, var_eps), branch)
     if b.degenerate:
         raise ValueError("degenerate branch (theta = 0) cannot be sampled")
     r = b.r + r_offset
@@ -219,18 +218,9 @@ def stationarity_check(
     x0 = rng.gamma(k, b.theta, size=n_traj)
     eps = noise_draw(NoiseSpec(var_eps, family), rng, size=n_traj)
     x1 = step(MapSpec(map_kind, r), x0, eps)
-
-    n = n_traj
-    m = x1.mean()
-    se_m = x1.std(ddof=1) / math.sqrt(n)
-    mean_z = float((m - k * b.theta) / se_m)
-    v_hat = x1.var(ddof=1)
-    d4 = x1 - m
-    d4 *= d4
-    d4 *= d4
-    m4 = d4.mean()
-    se_v = math.sqrt(max((m4 - (n - 3) / (n - 1) * v_hat**2) / n, 0.0))
-    var_z = float((v_hat - k * b.theta**2) / se_v)
+    mean, variance, se_mean, se_variance = _moments(x1)
+    mean_z = float((mean - k * b.theta) / se_mean)
+    var_z = float((variance - k * b.theta**2) / se_variance)
     return StationarityReport(
         mean_z=mean_z, var_z=var_z, passed=abs(mean_z) < 4.0 and abs(var_z) < 4.0
     )

@@ -184,6 +184,15 @@ class TestStationarity:
         assert out.startswith("PASS")
         assert "mean_z=" in out and "var_z=" in out
 
+    @pytest.mark.parametrize("n_traj", ["0", "1"])
+    def test_fewer_than_two_samples_is_usage(self, capsys, n_traj):
+        code, out, err = run_cli(
+            capsys, "stationarity", "--map", "logistic", "--k", "2.0", "--var-eps", "0.1",
+            "--n-traj", n_traj,
+        )
+        assert code == 1 and out == ""
+        assert "n_traj must be >= 2" in err
+
 
 class TestBifurcate:
     def test_header_and_row_count(self, capsys):

@@ -22,7 +22,9 @@ from steadychaos import (
     ricker_residual,
     ricker_solve,
     ricker_theta,
+    solve,
 )
+from steadychaos.equilibrium import FAMILIES
 
 # frozen from a 40-digit evaluation of the closed form
 LOGISTIC_K2_V01_PLUS = 2.0431293675255978
@@ -43,6 +45,10 @@ class TestNoiseSpec:
     def test_defaults(self):
         spec = NoiseSpec(0.2)
         assert spec.family == "gamma"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_accepts_every_family(self, family):
+        assert NoiseSpec(0.2, family=family).family == family
 
 
 class TestLogisticFeasibility:
@@ -287,6 +293,27 @@ def _rel_residual(r, k, v):
     # the residual divided by 2 e^{r/(k+1)}, in log space
     a = r / (k + 1.0)
     return 1.0 - 0.5 * math.exp((math.log1p(v) + 2.0 * r) / (k + 2.0) - a) - 0.5 * math.exp(-a)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("k,v", [(0.01, 0.3), (2.0, 0.1), (100.0, 0.0)])
+    def test_logistic_is_logistic_solve(self, k, v):
+        assert solve("logistic", k, v) == logistic_solve(k, v)
+
+    @pytest.mark.parametrize("k,v", [(0.5, 0.0), (1.0, 0.05), (10.0, 0.01)])
+    def test_ricker_is_ricker_solve(self, k, v):
+        assert solve("ricker", k, v) == ricker_solve(k, v)
+
+    def test_passes_r_max_to_ricker(self):
+        # k=0.1 at var_eps=0: one root, beyond the default r_max
+        sol = solve("ricker", 0.1, 0.0, r_max=200.0)
+        assert [(b.label, b.r) for b in sol.branches] == [("plus", 16.011694363437325)]
+        with pytest.raises(NoRootError):
+            solve("ricker", 0.1, 0.0)
+
+    def test_unknown_kind_is_value_error(self):
+        with pytest.raises(ValueError, match="unknown map kind 'henon'"):
+            solve("henon", 1.0, 0.05)
 
 
 class TestRickerOracles:

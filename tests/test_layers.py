@@ -53,6 +53,33 @@ def test_nothing_imports_the_cli(module):
     assert "cli" not in package_imports(module)
 
 
+def called_names(module: str) -> set:
+    """Names of the functions that ``module`` calls, bare or as attributes."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                found.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                found.add(func.attr)
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "equilibrium"])
+def test_only_equilibrium_dispatches_between_solvers(module):
+    """The map kind selects a solver in ``equilibrium.solve`` and nowhere else."""
+    assert not {"logistic_solve", "ricker_solve"} <= called_names(module)
+
+
+def test_cli_takes_choice_lists_from_the_library():
+    spelled_out = {("logistic", "ricker"), ("gamma", "lognormal")}
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            values = tuple(e.value if isinstance(e, ast.Constant) else None for e in node.elts)
+            assert values not in spelled_out, f"line {node.lineno}"
+
+
 NO_SCIPY_SCRIPT = """
 import sys
 

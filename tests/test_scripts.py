@@ -1,0 +1,41 @@
+"""The two end-to-end scripts run to completion on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=ENV, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_reproduce_figures_writes_three_csvs(tmp_path):
+    done = run_script("reproduce_figures.py", "--steps", "6", "--out-dir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    headers = {
+        "fig1_logistic_scan.csv": "k,var_eps,branch,r,theta,feasible",
+        "fig2_ricker_curve.csv": "k,r",
+        "fig3_ricker_scan.csv": "k,var_eps,branch,r,theta,feasible",
+    }
+    for name, header in headers.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header, name
+        assert len(lines) > 1, name
+
+
+def test_transition_survey_verdicts():
+    done = run_script("transition_survey.py", "--k", "0.5,1,10", "--iters", "5000")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    logistic = [row for row in rows if row[0] == "logistic"]
+    assert len(logistic) == 3
+    assert all(row[3:5] == ["NO", "TRANSITION"] for row in logistic)
+    ricker_k1 = [row for row in rows if row[:2] == ["ricker", "1"]]
+    assert len(ricker_k1) == 1 and ricker_k1[0][3] == "TRANSITION"

@@ -19,7 +19,7 @@ from steadychaos import (
     step,
     trajectory_rng,
 )
-from steadychaos.simulate import BLOCK
+from steadychaos.simulate import BLOCK, _moments
 
 SEED = 20250823
 
@@ -153,23 +153,6 @@ class TestRunEnsemble:
         closed = math.exp(r) * laplace_moment(p, 1, r)
         assert abs(stats.mean[1] - closed) < 4 * stats.se_mean[1]
 
-    def test_worker_count_does_not_change_result(self):
-        kwargs = dict(
-            map=MapSpec("ricker", 1.3),
-            init=GammaParams(2.0, 0.3),
-            noise=NoiseSpec(0.05),
-            t_max=20,
-            n_traj=2_000,
-            seed=SEED,
-        )
-        a = run_ensemble(**kwargs, n_workers=1)
-        b = run_ensemble(**kwargs, n_workers=4)
-        c = run_ensemble(**kwargs, n_workers=7)
-        for other in (b, c):
-            assert np.array_equal(a.mean, other.mean)
-            assert np.array_equal(a.variance, other.variance)
-            assert np.array_equal(a.se_variance, other.se_variance)
-
     def test_extinct_trajectories_counted_and_excluded(self):
         # large noise pushes some logistic trajectories out of (0,1)
         stats = run_ensemble(
@@ -227,6 +210,33 @@ class TestRunEnsemble:
             run_ensemble(MapSpec("logistic", 2.0), 0.5, NoiseSpec(0.0), 5, 1, SEED)
 
 
+class TestMoments:
+    def test_matches_numpy_reference(self):
+        x = np.random.default_rng(SEED).gamma(2.0, 0.3, size=(500, 3))
+        n = x.shape[0]
+        mean, variance, se_mean, se_variance = _moments(x)
+        assert np.array_equal(mean, x.mean(axis=0))
+        assert np.array_equal(variance, x.var(axis=0, ddof=1))
+        assert np.array_equal(se_mean, np.sqrt(variance / n))
+        m4 = ((x - mean) ** 4).mean(axis=0)
+        want = np.sqrt((m4 - (n - 3) / (n - 1) * variance**2) / n)
+        assert np.allclose(se_variance, want, rtol=1e-12, atol=0.0)
+
+    def test_one_column_reduces_like_a_matrix(self):
+        # stationarity_check reduces a vector, run_ensemble a matrix; NumPy
+        # sums the two in a different order
+        x = np.random.default_rng(SEED).gamma(2.0, 0.3, size=(1000, 4))
+        for col in range(x.shape[1]):
+            for got, want in zip(_moments(x[:, col]), _moments(x)):
+                assert np.ndim(got) == 0
+                assert got == pytest.approx(want[col], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_is_nan(self, rows):
+        for column in _moments(np.ones((rows, 3))):
+            assert column.shape == (3,) and np.isnan(column).all()
+
+
 class TestDistributionFreeOneStep:
     def test_logistic_mean_update_any_init(self):
         # E[X1] = r y (1-y) - r v for any initial law with mean y, variance v
@@ -281,6 +291,11 @@ class TestStationarity:
         p = GammaParams(2.0, b.theta)
         biased = (b.r + 0.2) * (p.mean() - raw_moment(p, 2))
         assert (biased - p.mean()) * report.mean_z > 0
+
+    @pytest.mark.parametrize("n_traj", [0, 1])
+    def test_rejects_small_sample(self, n_traj):
+        with pytest.raises(ValueError, match="n_traj must be >= 2"):
+            stationarity_check("logistic", 2.0, 0.1, "plus", n_traj=n_traj, seed=1)
 
     def test_degenerate_branch_rejected(self):
         with pytest.raises(ValueError):
