@@ -17,7 +17,11 @@ def main() -> None:
     parser.add_argument(
         "--k", default="0.5,1,2,5,10,100", help="comma-separated shape values"
     )
-    parser.add_argument("--iters", type=int, default=50_000)
+    parser.add_argument(
+        "--iters", type=int, default=50_000,
+        help="orbit-average length of the Lyapunov exponent, used only on "
+        "branches with no attracting cycle",
+    )
     args = parser.parse_args()
     ks = [float(part) for part in args.k.split(",")]
 

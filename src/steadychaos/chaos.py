@@ -106,18 +106,37 @@ def lyapunov(
     return total / iters
 
 
-def _detect_period(kind: MapKind, r: float, x0: float, p_max: int) -> Optional[int]:
-    x = x0
-    for _ in range(_CYCLE_TRANSIENT):
-        x = maps.step(kind, r, x)
+def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optional[tuple]:
+    """(p, (1/p) sum ln|f'(x_i)|) for the least p <= p_max at which the orbit
+    from x0 closes within _CYCLE_TOL twice running after _CYCLE_TRANSIENT
+    steps, or None; DivergenceError on escape. Closure is in x (logistic) or
+    y = ln x (Ricker, whose x underflows to 0); -inf means superstable."""
+    _raise_if_escaped(kind, x0)
+    x, y = x0, (math.log(x0) if x0 > 0.0 else -math.inf)
+    # transient loops specialised from maps.orbit_step, as in lyapunov
+    hi = maps.UPPER[kind]
+    if kind == "logistic":
+        for _ in range(_CYCLE_TRANSIENT):
+            x = r * x * (1.0 - x)
+            if not 0.0 <= x <= hi:
+                _raise_if_escaped(kind, x)
+    else:
+        for _ in range(_CYCLE_TRANSIENT):
+            y += r * (1.0 - x)
+            x = math.exp(y)
+            if not 0.0 <= x <= hi:
+                _raise_if_escaped(kind, x)
+    xs, zs = [x], [y if kind == "ricker" else x]
+    for _ in range(2 * p_max):
+        x, y = maps.orbit_step(kind, r, x, y)
         _raise_if_escaped(kind, x)
-    ref = x
-    scale = max(1.0, abs(ref))
+        xs.append(x)
+        zs.append(y if kind == "ricker" else x)
     for p in range(1, p_max + 1):
-        x = maps.step(kind, r, x)
-        _raise_if_escaped(kind, x)
-        if abs(x - ref) < _CYCLE_TOL * scale:
-            return p
+        if abs(zs[p] - zs[0]) < _CYCLE_TOL and abs(zs[2 * p] - zs[p]) < _CYCLE_TOL:
+            with np.errstate(divide="ignore"):
+                terms = maps.log_abs_derivative(kind, r, np.array(xs[:p]))
+            return p, float(terms.mean())
     return None
 
 
@@ -132,36 +151,30 @@ def classify(
 ) -> RegimeReport:
     """Classify the deterministic regime at growth rate r.
 
-    chaotic if the Lyapunov exponent exceeds lyap_tol; otherwise the minimal
-    period p <= p_max is detected by cycle closure (stable_fixed for p=1);
-    marginal when neither applies; divergent when the orbit escapes from both
-    starting points.
+    Cycle first: an orbit that settles on a cycle of period p <= p_max with
+    exact exponent below -lyap_tol is stable_fixed (p = 1) or periodic. Only
+    otherwise is the exponent the ``lyapunov`` orbit average over ``iters``
+    steps after ``burn_in``: chaotic above lyap_tol, else marginal. divergent
+    when the orbit escapes from every starting point.
     """
     maps.check(kind, r)
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
     starts = (x0,) if x0 is not None else maps.DEFAULT_X0[kind]
-    lam = None
-    start = None
-    for candidate in starts:
+    for start in starts:
         try:
-            lam = lyapunov(kind, r, x0=candidate, burn_in=burn_in, iters=iters)
-            start = candidate
-            break
+            cycle = _attracting_cycle(kind, r, start, p_max)
+            # a closure inside the tolerance band is a bifurcation edge
+            if cycle is not None and cycle[1] < -lyap_tol:
+                period, lam = cycle
+                regime = "stable_fixed" if period == 1 else "periodic"
+                return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, period=period)
+            lam = lyapunov(kind, r, x0=start, burn_in=burn_in, iters=iters)
         except DivergenceError:
             continue
-    if lam is None:
-        return RegimeReport(kind=kind, r=r, lyapunov=float("nan"), regime="divergent")
-    if lam > lyap_tol:
-        return RegimeReport(kind=kind, r=r, lyapunov=lam, regime="chaotic")
-    try:
-        period = _detect_period(kind, r, start, p_max)
-    except DivergenceError:
-        return RegimeReport(kind=kind, r=r, lyapunov=lam, regime="divergent")
-    # attracting cycles require a clearly negative exponent; a closure hit
-    # with |lambda| inside the tolerance band is a bifurcation edge
-    if period is not None and lam < -lyap_tol:
-        regime = "stable_fixed" if period == 1 else "periodic"
-        return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, period=period)
-    return RegimeReport(kind=kind, r=r, lyapunov=lam, regime="marginal")
+        regime = "chaotic" if lam > lyap_tol else "marginal"
+        return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime)
+    return RegimeReport(kind=kind, r=r, lyapunov=float("nan"), regime="divergent")
 
 
 @dataclass(frozen=True)
@@ -224,7 +237,9 @@ def transition_report(
     iters: int = DEFAULT_ITERS,
 ) -> TransitionReport:
     """Solve the equilibrium branches and classify each growth rate
-    deterministically; transition_found iff any branch is chaotic."""
+    deterministically; transition_found iff any branch is chaotic. ``iters``
+    is the orbit-average length of ``classify``, used only on branches with no
+    attracting cycle."""
     sol = solve(kind, k, var_eps)
     classified = tuple(
         (b.label, classify(kind, b.r, lyap_tol=lyap_tol, iters=iters)) for b in sol.branches

@@ -130,10 +130,11 @@ def _moments(x: np.ndarray):
     if n < 2:
         nan = np.full(x.shape[1:], np.nan)
         return nan, nan, nan, nan
-    mean = x.mean(axis=0)
-    # a constant column has exactly zero variance; the generic formula leaves
-    # ~eps^2 residue from the rounded mean
-    constant = x.max(axis=0) == x.min(axis=0)
+    # a constant column has its value as mean and exactly zero variance and
+    # se_variance; the generic formulas leave rounding residue in all three
+    lo = x.min(axis=0)
+    constant = x.max(axis=0) == lo
+    mean = np.where(constant, lo, x.mean(axis=0))
     variance = np.where(constant, 0.0, x.var(axis=0, ddof=1))
     se_mean = np.sqrt(variance / n)
     # fourth powers by squaring in place: x**4 goes through the slow pow()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from steadychaos import (
     DivergenceError,
     bifurcation_scan,
+    chaos,
     classify,
     det_derivative,
     det_step,
@@ -125,6 +126,48 @@ class TestSharedKernel:
         got = lyapunov("ricker", r, x0=x0, burn_in=burn_in, iters=iters)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @staticmethod
+    def _kernel_cycle(kind, r, x0, p_max):
+        """The closure rule of the cycle check on the maps.orbit_step orbit,
+        the kernel its transient loops are specialised from; "escaped" once
+        the orbit leaves the closed domain."""
+        x, y = x0, (math.log(x0) if x0 > 0.0 else -math.inf)
+        orbit = [(x, y)]
+        for _ in range(chaos._CYCLE_TRANSIENT + 2 * p_max):
+            x, y = maps.orbit_step(kind, r, x, y)
+            if not maps.in_domain(kind, x):
+                return "escaped"
+            orbit.append((x, y))
+        orbit = orbit[chaos._CYCLE_TRANSIENT:]
+        z = [y if kind == "ricker" else x for x, y in orbit]
+        for p in range(1, p_max + 1):
+            if abs(z[p] - z[0]) < chaos._CYCLE_TOL and abs(z[2 * p] - z[p]) < chaos._CYCLE_TOL:
+                with np.errstate(divide="ignore"):
+                    terms = maps.log_abs_derivative(kind, r, np.array([x for x, _ in orbit[:p]]))
+                return p, float(terms.mean())
+        return None
+
+    @pytest.mark.parametrize("kind,r_min,r_max,x_max", [
+        ("logistic", 2.9, 4.0, 1.0),
+        ("ricker", 1.5, 3.0, 3.0),
+    ])
+    def test_cycle_check_is_the_kernel(self, kind, r_min, r_max, x_max):
+        @given(
+            r=st.floats(min_value=r_min, max_value=r_max),
+            x0=st.floats(min_value=0.0, max_value=x_max),
+            p_max=st.integers(min_value=1, max_value=16),
+        )
+        @settings(max_examples=40, deadline=None)
+        def check(r, x0, p_max):
+            want = self._kernel_cycle(kind, r, x0, p_max)
+            if want == "escaped":
+                with pytest.raises(DivergenceError):
+                    chaos._attracting_cycle(kind, r, x0, p_max)
+            else:
+                assert chaos._attracting_cycle(kind, r, x0, p_max) == want
+
+        check()
+
 
 class TestLyapunov:
     def test_logistic_r4_is_ln2(self):
@@ -200,17 +243,97 @@ class TestLyapunov:
 
 
 class TestClassify:
+    # on an attracting cycle the exponent is the exact multiplier, so at a
+    # fixed point it is ln|f'(x*)| to rounding: ln|2 - r| logistic, ln|1 - r|
+    # Ricker
     @pytest.mark.parametrize("r", np.linspace(1.05, 2.95, 20))
     def test_logistic_stable_window(self, r):
         rep = classify("logistic", float(r), iters=20_000)
         assert rep.regime == "stable_fixed"
         assert rep.period == 1
-        assert rep.lyapunov < 0.0
+        assert rep.lyapunov == pytest.approx(math.log(abs(2.0 - r)), rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("r", np.linspace(0.05, 1.95, 20))
     def test_ricker_stable_window(self, r):
         rep = classify("ricker", float(r), iters=20_000)
         assert rep.regime == "stable_fixed"
+        assert rep.period == 1
+        assert rep.lyapunov == pytest.approx(math.log(abs(1.0 - r)), rel=0.0, abs=1e-12)
+
+    def test_logistic_two_cycle_multiplier(self):
+        # the r = 3.2 cycle p, q = (r+1 +- sqrt((r-3)(r+1)))/(2r) has
+        # f'(p) f'(q) = 4 + 2r - r^2
+        r = 3.2
+        rep = classify("logistic", r)
+        assert rep.regime == "periodic" and rep.period == 2
+        want = 0.5 * math.log(abs(4.0 + 2.0 * r - r * r))
+        assert rep.lyapunov == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_ricker_two_cycle_multiplier_vs_mpmath(self):
+        r = 2.3
+        with mpmath.workdps(40):
+            def f(x):
+                return x * mpmath.exp(r * (1 - x))
+
+            def df(x):
+                return mpmath.exp(r * (1 - x)) * (1 - r * x)
+
+            a = mpmath.findroot(lambda x: f(f(x)) - x, 0.4)
+            assert abs(a - 1) > 0.1  # a point of the 2-cycle, not the fixed point 1
+            want = float(mpmath.log(abs(df(a) * df(f(a)))) / 2)
+        rep = classify("ricker", r)
+        assert rep.regime == "periodic" and rep.period == 2
+        assert rep.lyapunov == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_superstable_cycles_without_warning(self):
+        # f' = 0 on the cycle: the exponent is -inf, and the log of the zero
+        # derivative raises no RuntimeWarning (the suite makes those errors)
+        for kind, r in (("logistic", 2.0), ("ricker", 1.0)):
+            rep = classify(kind, r)
+            assert (rep.regime, rep.period, rep.lyapunov) == ("stable_fixed", 1, -math.inf)
+        # r = 1 + sqrt(5) is superstable through x = 1/2 in exact arithmetic;
+        # in floats the cycle passes within rounding of it
+        rep = classify("logistic", 1.0 + math.sqrt(5.0))
+        assert rep.regime == "periodic" and rep.period == 2 and rep.lyapunov < -10.0
+
+    def test_ricker_orbit_near_zero_has_no_cycle(self):
+        # at the k = 0.2 equilibrium r the orbit dips below e^-745, where a
+        # directly stepped x underflows to the extinct fixed point 0 and
+        # closes at period 1; stepped in ln x it closes nowhere
+        r = 9.146311040868133
+        for x0 in maps.DEFAULT_X0["ricker"]:
+            assert chaos._attracting_cycle("ricker", r, x0, chaos.DEFAULT_P_MAX) is None
+        rep = classify("ricker", r)
+        assert rep.regime == "chaotic" and rep.lyapunov == 0.04460054175073858
+
+    @staticmethod
+    def _orbit_average_rule(kind, r, iters):
+        """Regime and period by the orbit-average rule: the sign of the
+        lyapunov orbit average decides, and a period counts only below
+        -lyap_tol, as the least p whose directly stepped orbit returns within
+        1e-8 after the cycle-check transient."""
+        lam = lyapunov(kind, r, iters=iters)
+        if lam > chaos.DEFAULT_LYAP_TOL:
+            return "chaotic", None
+        x = maps.DEFAULT_X0[kind][0]
+        for _ in range(chaos._CYCLE_TRANSIENT):
+            x = maps.step(kind, r, x)
+        ref = x
+        for p in range(1, chaos.DEFAULT_P_MAX + 1):
+            x = maps.step(kind, r, x)
+            if abs(x - ref) < 1e-8 * max(1.0, abs(ref)) and lam < -chaos.DEFAULT_LYAP_TOL:
+                return ("stable_fixed" if p == 1 else "periodic"), p
+        return "marginal", None
+
+    @pytest.mark.parametrize("kind,r_min,r_max", [("logistic", 0.5, 4.0), ("ricker", 0.1, 4.5)])
+    def test_cycle_first_agrees_with_orbit_average_rule(self, kind, r_min, r_max):
+        for r in np.linspace(r_min, r_max, 60):
+            rep = classify(kind, float(r), iters=20_000)
+            assert (rep.regime, rep.period) == self._orbit_average_rule(kind, float(r), 20_000), r
+
+    def test_onset_bracket(self):
+        assert classify("logistic", 3.55).regime == "periodic"
+        assert classify("logistic", 3.60).regime == "chaotic"
 
     def test_periodic(self):
         rep = classify("logistic", 3.2, iters=20_000)

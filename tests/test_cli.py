@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 
-from steadychaos import logistic_solve, ricker_solve
+from steadychaos import det_step, logistic_solve, ricker_solve
 from steadychaos.cli import main
 
 
@@ -168,6 +170,22 @@ class TestSimulate:
         _, b, _ = run_cli(capsys, *self.BASE, "--n-workers", "4")
         assert a == b
 
+    def test_constant_rows_are_exact(self, capsys):
+        # zero noise from a point mass: every trajectory is the same, so each
+        # row's mean is the deterministic orbit itself and its spreads are 0
+        code, out, _ = run_cli(
+            capsys, "simulate", "--map", "logistic", "--r", "2.0", "--x0", "0.3",
+            "--t-max", "5", "--n-traj", "100",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 6 and rows[0]["mean"] == "0.3"
+        x = 0.3
+        for row in rows:
+            assert float(row["mean"]) == x
+            assert row["variance"] == row["se_mean"] == row["se_variance"] == "0.0"
+            x = det_step("logistic", 2.0, x)
+
     def test_seed_changes_output(self, capsys):
         _, a, _ = run_cli(capsys, *self.BASE)
         _, b, _ = run_cli(capsys, *self.BASE[:-1], "8")
@@ -247,6 +265,48 @@ class TestTransition:
         assert code == 0
         assert out.splitlines()[0] == "NO TRANSITION"
         assert "branch=plus" in out and "branch=minus" in out
+
+    # the benchmark's eleven transition inputs: (argv tail, verdict, and per
+    # branch its regime, period and, on a chaotic branch, the exact exponent
+    # printed, which is the orbit average over the default 1e5 iterations)
+    GOLDEN = [
+        (("ricker", "0.2", "0"), "TRANSITION", [("plus", "chaotic", None, "0.04460054175073858")]),
+        (("ricker", "0.5", "0"), "TRANSITION", [("plus", "chaotic", None, "0.46373426476968527")]),
+        (("ricker", "1", "0"), "TRANSITION", [("plus", "chaotic", None, "0.4687214419675762")]),
+        (("ricker", "2", "0"), "TRANSITION", [("plus", "chaotic", None, "0.35649958032146073")]),
+        (("ricker", "5", "0"), "NO TRANSITION", [("plus", "periodic", "2", None)]),
+        (("ricker", "10", "0"), "NO TRANSITION", [("plus", "periodic", "2", None)]),
+        (("ricker", "100", "0"), "NO TRANSITION", [("plus", "periodic", "2", None)]),
+        (("ricker", "1", "0.05"), "TRANSITION", [
+            ("plus", "chaotic", None, "0.5186130524987924"),
+            ("minus", "stable_fixed", "1", None),
+        ]),
+        (("logistic", "0.5", "0.05"), "NO TRANSITION",
+         [("plus", "stable_fixed", "1", None), ("minus", "stable_fixed", "1", None)]),
+        (("logistic", "2.0", "0.05"), "NO TRANSITION",
+         [("plus", "stable_fixed", "1", None), ("minus", "stable_fixed", "1", None)]),
+        (("logistic", "10.0", "0.041666666666666664"), "NO TRANSITION",
+         [("plus", "stable_fixed", "1", None), ("minus", "stable_fixed", "1", None)]),
+    ]
+
+    @pytest.mark.parametrize("args,verdict,branches", GOLDEN)
+    def test_golden_verdicts(self, capsys, args, verdict, branches):
+        kind, k, v = args
+        code, out, _ = run_cli(capsys, "transition", "--map", kind, "--k", k, "--var-eps", v)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == verdict
+        rows = [dict(part.split("=", 1) for part in line.split()) for line in lines[1:]]
+        assert len(rows) == len(branches)
+        for row, (label, regime, period, lam) in zip(rows, branches):
+            assert (row["branch"], row["regime"], row.get("period")) == (label, regime, period)
+            if lam is not None:
+                assert row["lyapunov"] == lam
+            if regime == "stable_fixed":
+                # the exact fixed-point multiplier: f'(x*) = 2 - r logistic, 1 - r Ricker
+                r = float(row["r"])
+                want = math.log(abs(2.0 - r)) if kind == "logistic" else math.log(abs(1.0 - r))
+                assert float(row["lyapunov"]) == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 class TestConverge:

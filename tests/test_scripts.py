@@ -39,3 +39,5 @@ def test_transition_survey_verdicts():
     assert all(row[3:5] == ["NO", "TRANSITION"] for row in logistic)
     ricker_k1 = [row for row in rows if row[:2] == ["ricker", "1"]]
     assert len(ricker_k1) == 1 and ricker_k1[0][3] == "TRANSITION"
+    ricker_k10 = [row for row in rows if row[:2] == ["ricker", "10"]]
+    assert len(ricker_k10) == 1 and ricker_k10[0][-1] == "periodic]"
