@@ -54,6 +54,12 @@ def _raise_if_escaped(kind: MapKind, x: float) -> None:
         raise DivergenceError(f"{kind} orbit escaped [0, {maps.UPPER[kind]:g}] at x={x!r}")
 
 
+def _overflow_escape(kind: MapKind, r: float, x: float) -> DivergenceError:
+    # a Ricker step e^y that overflows lands beyond the cap before the domain check
+    return DivergenceError(f"{kind} orbit escaped [0, {maps.UPPER[kind]:g}]: the step from "
+                           f"x={x!r} overflows the float range at r={r!r}")
+
+
 def lyapunov(
     kind: MapKind,
     r: float,
@@ -73,36 +79,39 @@ def lyapunov(
     x = maps.DEFAULT_X0[kind][0] if x0 is None else x0
     _raise_if_escaped(kind, x)
     y = math.log(x) if x > 0.0 else -math.inf
-    for _ in range(burn_in):
-        x, y = maps.orbit_step(kind, r, x, y)
-        _raise_if_escaped(kind, x)
-    # two loops specialized from maps.orbit_step, maps.log_abs_derivative and
-    # maps.in_domain: the iteration is inherently sequential and this is the
-    # hot path
-    hi = maps.UPPER[kind]
-    total = 0.0
-    if kind == "logistic":
+    try:
+        for _ in range(burn_in):
+            x, y = maps.orbit_step(kind, r, x, y)
+            _raise_if_escaped(kind, x)
+        # two loops specialized from maps.orbit_step, maps.log_abs_derivative and
+        # maps.in_domain: the iteration is inherently sequential and this is the
+        # hot path
+        hi = maps.UPPER[kind]
+        total = 0.0
+        if kind == "logistic":
+            for _ in range(iters):
+                d = r * (1.0 - 2.0 * x)
+                if d == 0.0:
+                    return float("-inf")
+                total += math.log(abs(d))
+                x = r * x * (1.0 - x)
+                if not 0.0 <= x <= hi:
+                    _raise_if_escaped(kind, x)
+            return total / iters
+        # Ricker carries y = ln x: near 0 the exponent would otherwise read r
+        # from an orbit underflowed to the extinct state
         for _ in range(iters):
-            d = r * (1.0 - 2.0 * x)
+            d = 1.0 - r * x
             if d == 0.0:
                 return float("-inf")
-            total += math.log(abs(d))
-            x = r * x * (1.0 - x)
+            g = r * (1.0 - x)
+            total += g + math.log(abs(d))
+            y += g
+            x = math.exp(y)
             if not 0.0 <= x <= hi:
                 _raise_if_escaped(kind, x)
-        return total / iters
-    # Ricker carries y = ln x: near 0 the exponent would otherwise read r
-    # from an orbit underflowed to the extinct state
-    for _ in range(iters):
-        d = 1.0 - r * x
-        if d == 0.0:
-            return float("-inf")
-        g = r * (1.0 - x)
-        total += g + math.log(abs(d))
-        y += g
-        x = math.exp(y)
-        if not 0.0 <= x <= hi:
-            _raise_if_escaped(kind, x)
+    except OverflowError:
+        raise _overflow_escape(kind, r, x) from None
     return total / iters
 
 
@@ -115,23 +124,26 @@ def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optiona
     x, y = x0, (math.log(x0) if x0 > 0.0 else -math.inf)
     # transient loops specialised from maps.orbit_step, as in lyapunov
     hi = maps.UPPER[kind]
-    if kind == "logistic":
-        for _ in range(_CYCLE_TRANSIENT):
-            x = r * x * (1.0 - x)
-            if not 0.0 <= x <= hi:
-                _raise_if_escaped(kind, x)
-    else:
-        for _ in range(_CYCLE_TRANSIENT):
-            y += r * (1.0 - x)
-            x = math.exp(y)
-            if not 0.0 <= x <= hi:
-                _raise_if_escaped(kind, x)
-    xs, zs = [x], [y if kind == "ricker" else x]
-    for _ in range(2 * p_max):
-        x, y = maps.orbit_step(kind, r, x, y)
-        _raise_if_escaped(kind, x)
-        xs.append(x)
-        zs.append(y if kind == "ricker" else x)
+    try:
+        if kind == "logistic":
+            for _ in range(_CYCLE_TRANSIENT):
+                x = r * x * (1.0 - x)
+                if not 0.0 <= x <= hi:
+                    _raise_if_escaped(kind, x)
+        else:
+            for _ in range(_CYCLE_TRANSIENT):
+                y += r * (1.0 - x)
+                x = math.exp(y)
+                if not 0.0 <= x <= hi:
+                    _raise_if_escaped(kind, x)
+        xs, zs = [x], [y if kind == "ricker" else x]
+        for _ in range(2 * p_max):
+            x, y = maps.orbit_step(kind, r, x, y)
+            _raise_if_escaped(kind, x)
+            xs.append(x)
+            zs.append(y if kind == "ricker" else x)
+    except OverflowError:
+        raise _overflow_escape(kind, r, x) from None
     for p in range(1, p_max + 1):
         if abs(zs[p] - zs[0]) < _CYCLE_TOL and abs(zs[2 * p] - zs[p]) < _CYCLE_TOL:
             with np.errstate(divide="ignore"):

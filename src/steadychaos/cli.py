@@ -6,11 +6,17 @@ is not finite and > 0), 2 infeasible domain input (noise variance beyond the
 equilibrium bound), 3 numerical failure (roots only beyond r_max, a Ricker
 theta = e^(r/(k+1))/r beyond the float range, divergence, including a start
 point outside the map's domain).
+
+``main(argv)`` may be called repeatedly in one process, as
+``scripts/reproduce_figures.py`` does: it builds its parser on the first call
+and reuses it, and keeps no other state between calls, so each call gives
+what a fresh process gives.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -50,8 +56,16 @@ def _emit(header: list[str], rows: list[list], fmt: str, output: Optional[str]) 
     lines = []
     if fmt == "csv":
         lines.append(",".join(header))
+        above, texts = None, None
         for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            # a cell holding the same object as the cell above it has the same
+            # text; bifurcate repeats r and lyapunov on every sample row
+            if above is None:
+                texts = [_fmt(v) for v in row]
+            else:
+                texts = [t if v is a else _fmt(v) for v, a, t in zip(row, above, texts)]
+            lines.append(",".join(texts))
+            above = row
     else:
         for row in rows:
             lines.append(json.dumps(dict(zip(header, row))))
@@ -223,7 +237,10 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="steadychaos", description=__doc__)
+    # the help text leaves out the docstring's last paragraph, which is for
+    # Python callers (no docstring under python -OO)
+    description = __doc__ and __doc__.rsplit("\n\n", 1)[0]
+    parser = _Parser(prog="steadychaos", description=description)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("solve", help="equilibrium branches r+/- and theta for (k, var_eps)")
@@ -316,10 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one serves every main call
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -54,9 +54,15 @@ def deterministic_orbit(kind: MapKind, r: float, x0: float, t_max: int) -> np.nd
     orbit = np.empty(t_max + 1)
     orbit[0] = x0
     x = x0
-    for t in range(t_max):
-        x = maps.step(kind, r, x)
-        orbit[t + 1] = x
+    try:
+        for t in range(t_max):
+            x = maps.step(kind, r, x)
+            orbit[t + 1] = x
+    except OverflowError:
+        raise OverflowError(
+            f"the deterministic {kind} orbit from x0={x0!r} overflows the float range "
+            f"at step {t + 1}, from x={x!r} at r={r!r}"
+        ) from None
     return orbit
 
 

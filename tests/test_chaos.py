@@ -198,6 +198,13 @@ class TestLyapunov:
         assert lyapunov("logistic", 3.55) < 0.0
         assert lyapunov("logistic", 3.60) > 0.0
 
+    @pytest.mark.parametrize("burn_in", [0, 5])
+    def test_ricker_overflow_is_a_named_escape(self, burn_in):
+        # the overflow falls in the burn-in or, without one, in the exponent loop
+        with pytest.raises(DivergenceError, match=r"ricker orbit escaped \[0, 1e\+06\]: the step "
+                           r"from x=1e-17 overflows the float range at r=750\.0"):
+            lyapunov("ricker", 750.0, x0=1e-17, burn_in=burn_in)
+
     def test_superstable_returns_neg_inf(self):
         assert lyapunov("logistic", 2.0, x0=0.5, burn_in=0) == float("-inf")
 
@@ -356,6 +363,11 @@ class TestClassify:
 
     def test_divergent(self):
         assert classify("logistic", 4.5, iters=5_000).regime == "divergent"
+
+    def test_ricker_overflow_is_divergent(self):
+        # from x0 = 1e-17 at r = 750 the first step's e^y overflows the float range
+        report = classify("ricker", 750.0, x0=1e-17)
+        assert report.regime == "divergent" and math.isnan(report.lyapunov)
 
 
 class TestBifurcationScan:

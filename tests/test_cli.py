@@ -1,18 +1,35 @@
 import csv
+import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from steadychaos import det_step, logistic_solve, ricker_solve
+from steadychaos import bifurcation_scan, cli, det_step, logistic_solve, ricker_solve
 from steadychaos.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@functools.lru_cache(maxsize=None)
+def fresh(*argv):
+    """(exit code, stdout, stderr) of the command in a new process."""
+    done = subprocess.run(
+        [sys.executable, "-m", "steadychaos.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 class TestExitCodes:
@@ -224,6 +241,110 @@ class TestBifurcate:
         assert len(lines) == 1 + 4 * 3
 
 
+class TestOutputText:
+    """The tabular text, computed here from the library's records: ``repr`` of
+    every CSV cell, ``json.dumps`` of every JSON row."""
+
+    BIFURCATE = [("logistic", "2.5", "4.0"), ("ricker", "1.0", "20.0")]
+
+    @staticmethod
+    def records(kind, r_min, r_max):
+        return bifurcation_scan(kind, float(r_min), float(r_max), 30, samples_per_r=9)
+
+    @staticmethod
+    def bifurcate(capsys, kind, r_min, r_max, *extra):
+        return run_cli(
+            capsys, "bifurcate", "--map", kind, "--r-min", r_min, "--r-max", r_max,
+            "--steps", "30", "--samples", "9", *extra,
+        )
+
+    @pytest.mark.parametrize("kind,r_min,r_max", BIFURCATE)
+    def test_bifurcate_csv(self, capsys, kind, r_min, r_max):
+        want = "r,x_sample,lyapunov\n" + "".join(
+            f"{rec.r!r},{float(x)!r},{rec.lyapunov!r}\n"
+            for rec in self.records(kind, r_min, r_max) for x in rec.samples
+        )
+        assert self.bifurcate(capsys, kind, r_min, r_max) == (0, want, "")
+
+    @pytest.mark.parametrize("kind,r_min,r_max", BIFURCATE)
+    def test_bifurcate_json(self, capsys, kind, r_min, r_max):
+        want = "".join(
+            json.dumps({"r": rec.r, "x_sample": float(x), "lyapunov": rec.lyapunov}) + "\n"
+            for rec in self.records(kind, r_min, r_max) for x in rec.samples
+        )
+        assert self.bifurcate(capsys, kind, r_min, r_max, "--format", "json") == (0, want, "")
+
+    def test_equal_values_in_a_column_keep_their_own_text(self, capsys):
+        # -0.0 == 0.0, True == 1 and NaN != NaN: a column that repeats, or
+        # only seems to repeat, the cell above it must still print each cell
+        neg, pos, nan = -0.0, 0.0, float("nan")
+        rows = [[neg, 1], [pos, True], [pos, 1], [neg, False], [nan, 0], [nan, 0],
+                [float("nan"), "x"], [neg, "x"]]
+        cli._emit(["a", "b"], rows, "csv", None)
+        assert capsys.readouterr().out == (
+            "a,b\n-0.0,1\n0.0,true\n0.0,1\n-0.0,false\nnan,0\nnan,0\nnan,x\n-0.0,x\n"
+        )
+        cli._emit(["a", "b"], rows, "json", None)
+        assert capsys.readouterr().out == "".join(
+            json.dumps({"a": a, "b": b}) + "\n" for a, b in rows
+        )
+
+
+class TestRepeatedCalls:
+    """Several main calls in one process each give what a fresh process gives."""
+
+    SIM = ("simulate", "--map", "logistic", "--r", "2.8", "--noise-var", "0.01", "--x0", "0.3",
+           "--t-max", "5", "--n-traj", "200", "--seed", "3")
+
+    def test_json_to_a_file_then_csv_to_stdout(self, capsys, tmp_path):
+        path = tmp_path / "sim.json"
+        code, out, _ = run_cli(capsys, *self.SIM, "--format", "json", "--output", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_text() == fresh(*self.SIM, "--format", "json")[1]
+        assert run_cli(capsys, *self.SIM) == fresh(*self.SIM)
+
+    def test_usage_error_then_valid_command(self, capsys):
+        bad = ("solve", "--map", "logistic", "--k", "1", "--banana", "2")
+        assert run_cli(capsys, *bad) == fresh(*bad)
+        assert fresh(*bad)[0] == 1
+        good = ("solve", "--map", "logistic", "--k", "2", "--var-eps", "0.1")
+        assert run_cli(capsys, *good) == fresh(*good)
+
+    def test_help_then_valid_command(self, capsys):
+        assert run_cli(capsys, "--help") == fresh("--help")
+        assert fresh("--help")[0] == 0
+        assert run_cli(capsys, *self.SIM) == fresh(*self.SIM)
+
+    def test_zero_workers_then_two(self, capsys):
+        zero = (*self.SIM, "--n-workers", "0")
+        assert run_cli(capsys, *zero) == fresh(*zero)
+        assert fresh(*zero)[0] == 1
+        two = (*self.SIM, "--n-workers", "2")
+        assert run_cli(capsys, *two) == fresh(*two)
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        build_parser, built = cli.build_parser, []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            main(["--help"])
+            main(["solve", "--map", "nope"])
+            main(["lyapunov", "--map", "logistic", "--r", "2.5", "--iters", "10"])
+            main(["solve", "--map", "logistic", "--k", "2", "--var-eps", "0.1"])
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
+        assert built == [1]
+
+
 class TestLyapunov:
     def test_value_printed(self, capsys):
         code, out, _ = run_cli(
@@ -247,6 +368,15 @@ class TestLyapunov:
     def test_start_outside_domain_is_3(self, capsys, x0):
         code, out, _ = run_cli(capsys, "lyapunov", "--map", "logistic", "--r", "3.5", "--x0", x0)
         assert code == 3 and out == ""
+
+    def test_ricker_overflow_is_3_and_named(self, capsys):
+        # y = ln x + r(1 - x) passes ln(DBL_MAX) in one step, beyond the cap
+        code, out, err = run_cli(capsys, "lyapunov", "--map", "ricker", "--r", "750", "--x0", "1e-17")
+        assert code == 3 and out == ""
+        assert err == (
+            "numerical failure: ricker orbit escaped [0, 1e+06]: the step from x=1e-17 "
+            "overflows the float range at r=750.0\n"
+        )
 
 
 class TestTransition:
@@ -319,6 +449,15 @@ class TestConverge:
         lines = out.strip().splitlines()
         assert lines[0] == "var,max_deviation"
         assert len(lines) == 3
+
+    def test_ricker_overflow_is_3_and_named(self, capsys):
+        code, out, err = run_cli(
+            capsys, "converge", "--map", "ricker", "--r", "750", "--ladder", "1e-2",
+            "--n-traj", "10", "--t-max", "3",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: the deterministic ricker orbit from x0=0.7 ")
+        assert "overflows the float range" in err
 
     def test_bad_ladder_is_usage(self, capsys):
         code, _, _ = run_cli(

@@ -113,6 +113,12 @@ class TestDeterministicOrbit:
         orbit = deterministic_orbit("ricker", 1.0, 0.3, 7)
         assert len(orbit) == 8 and orbit[0] == 0.3
 
+    def test_ricker_overflow_is_named(self):
+        # x1 = 0.7 e^225 sends x2 to 0.0, and the step from 0 needs e^750
+        with pytest.raises(OverflowError, match=r"deterministic ricker orbit from x0=0\.7 "
+                           r"overflows the float range at step 3, from x=0\.0 at r=750\.0"):
+            deterministic_orbit("ricker", 750.0, 0.7, 5)
+
     def test_matches_iterated_map(self):
         orbit = deterministic_orbit("logistic", 3.7, 0.2, 5)
         x = 0.2
