@@ -2,14 +2,11 @@
 with gamma-distributed equilibria."""
 
 from .chaos import (
-    DivergenceError,
     RegimeReport,
     ScanRecord,
     TransitionReport,
     bifurcation_scan,
     classify,
-    det_derivative,
-    det_step,
     lyapunov,
     transition_report,
 )
@@ -36,8 +33,8 @@ from .gamma_core import (
     gamma_pdf,
     laplace_moment,
     raw_moment,
-    sample,
 )
+from .maps import DivergenceError
 from .mean_dynamics import (
     MeanState,
     convergence_sweep,
@@ -54,7 +51,6 @@ from .simulate import (
     run_ensemble,
     run_trajectory,
     stationarity_check,
-    step,
     trajectory_rng,
 )
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import maps
 from .equilibrium import EquilibriumSolution, solve
-from .maps import MapKind
-from .maps import derivative as det_derivative, step as det_step  # public names
+from .maps import DivergenceError, MapKind
 
 DEFAULT_LYAP_TOL = 1e-3
 DEFAULT_P_MAX = 64
@@ -24,10 +23,6 @@ DEFAULT_BURN_IN = 1_000
 DEFAULT_ITERS = 100_000
 _CYCLE_TRANSIENT = 10_000
 _CYCLE_TOL = 1e-8
-
-
-class DivergenceError(RuntimeError):
-    """Orbit left the admissible region."""
 
 
 @dataclass(frozen=True)
@@ -49,17 +44,6 @@ class TransitionReport:
     solution: EquilibriumSolution
 
 
-def _raise_if_escaped(kind: MapKind, x: float) -> None:
-    if not maps.in_domain(kind, x):
-        raise DivergenceError(f"{kind} orbit escaped [0, {maps.UPPER[kind]:g}] at x={x!r}")
-
-
-def _overflow_escape(kind: MapKind, r: float, x: float) -> DivergenceError:
-    # a Ricker step e^y that overflows lands beyond the cap before the domain check
-    return DivergenceError(f"{kind} orbit escaped [0, {maps.UPPER[kind]:g}]: the step from "
-                           f"x={x!r} overflows the float range at r={r!r}")
-
-
 def lyapunov(
     kind: MapKind,
     r: float,
@@ -67,7 +51,7 @@ def lyapunov(
     burn_in: int = DEFAULT_BURN_IN,
     iters: int = DEFAULT_ITERS,
 ) -> float:
-    """Orbit average of ln|f'(x_t)| after burn-in.
+    """Orbit average of ln|f'(x_t)| after burn-in, from ``maps.orbit``.
 
     Returns -inf if the orbit hits a superstable point (derivative exactly 0);
     raises DivergenceError if the orbit starts or lands outside the closed
@@ -77,42 +61,8 @@ def lyapunov(
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     x = maps.DEFAULT_X0[kind][0] if x0 is None else x0
-    _raise_if_escaped(kind, x)
     y = math.log(x) if x > 0.0 else -math.inf
-    try:
-        for _ in range(burn_in):
-            x, y = maps.orbit_step(kind, r, x, y)
-            _raise_if_escaped(kind, x)
-        # two loops specialized from maps.orbit_step, maps.log_abs_derivative and
-        # maps.in_domain: the iteration is inherently sequential and this is the
-        # hot path
-        hi = maps.UPPER[kind]
-        total = 0.0
-        if kind == "logistic":
-            for _ in range(iters):
-                d = r * (1.0 - 2.0 * x)
-                if d == 0.0:
-                    return float("-inf")
-                total += math.log(abs(d))
-                x = r * x * (1.0 - x)
-                if not 0.0 <= x <= hi:
-                    _raise_if_escaped(kind, x)
-            return total / iters
-        # Ricker carries y = ln x: near 0 the exponent would otherwise read r
-        # from an orbit underflowed to the extinct state
-        for _ in range(iters):
-            d = 1.0 - r * x
-            if d == 0.0:
-                return float("-inf")
-            g = r * (1.0 - x)
-            total += g + math.log(abs(d))
-            y += g
-            x = math.exp(y)
-            if not 0.0 <= x <= hi:
-                _raise_if_escaped(kind, x)
-    except OverflowError:
-        raise _overflow_escape(kind, r, x) from None
-    return total / iters
+    return maps.orbit(kind, r, x, y, burn_in, iters)[2] / iters
 
 
 def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optional[tuple]:
@@ -120,30 +70,13 @@ def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optiona
     from x0 closes within _CYCLE_TOL twice running after _CYCLE_TRANSIENT
     steps, or None; DivergenceError on escape. Closure is in x (logistic) or
     y = ln x (Ricker, whose x underflows to 0); -inf means superstable."""
-    _raise_if_escaped(kind, x0)
-    x, y = x0, (math.log(x0) if x0 > 0.0 else -math.inf)
-    # transient loops specialised from maps.orbit_step, as in lyapunov
-    hi = maps.UPPER[kind]
-    try:
-        if kind == "logistic":
-            for _ in range(_CYCLE_TRANSIENT):
-                x = r * x * (1.0 - x)
-                if not 0.0 <= x <= hi:
-                    _raise_if_escaped(kind, x)
-        else:
-            for _ in range(_CYCLE_TRANSIENT):
-                y += r * (1.0 - x)
-                x = math.exp(y)
-                if not 0.0 <= x <= hi:
-                    _raise_if_escaped(kind, x)
-        xs, zs = [x], [y if kind == "ricker" else x]
-        for _ in range(2 * p_max):
-            x, y = maps.orbit_step(kind, r, x, y)
-            _raise_if_escaped(kind, x)
-            xs.append(x)
-            zs.append(y if kind == "ricker" else x)
-    except OverflowError:
-        raise _overflow_escape(kind, r, x) from None
+    y = math.log(x0) if x0 > 0.0 else -math.inf
+    x, y, _ = maps.orbit(kind, r, x0, y, _CYCLE_TRANSIENT)
+    xs, zs = [x], [y if kind == "ricker" else x]
+    for _ in range(2 * p_max):
+        x, y, _ = maps.orbit(kind, r, x, y, 1)
+        xs.append(x)
+        zs.append(y if kind == "ricker" else x)
     for p in range(1, p_max + 1):
         if abs(zs[p] - zs[0]) < _CYCLE_TOL and abs(zs[2 * p] - zs[p]) < _CYCLE_TOL:
             with np.errstate(divide="ignore"):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -67,8 +68,10 @@ def _emit(header: list[str], rows: list[list], fmt: str, output: Optional[str]) 
             lines.append(",".join(texts))
             above = row
     else:
+        # JSON (RFC 8259) has no NaN or infinity: a non-finite float is null
         for row in rows:
-            lines.append(json.dumps(dict(zip(header, row))))
+            cells = [None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+            lines.append(json.dumps(dict(zip(header, cells)), allow_nan=False))
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -131,15 +134,15 @@ def cmd_ricker_curve(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.n_workers < 1:
-        raise UsageError(f"n_workers must be >= 1, got {args.n_workers}")
+        raise ValueError(f"n_workers must be >= 1, got {args.n_workers}")
     if args.x0 is not None and (args.init_k is not None or args.init_theta is not None):
-        raise UsageError("give either --x0 or --init-k/--init-theta, not both")
+        raise ValueError("give either --x0 or --init-k/--init-theta, not both")
     if args.x0 is not None:
         init = args.x0
     elif args.init_k is not None and args.init_theta is not None:
         init = GammaParams(args.init_k, args.init_theta)
     else:
-        raise UsageError("initial condition required: --x0 or --init-k with --init-theta")
+        raise ValueError("initial condition required: --x0 or --init-k with --init-theta")
     stats = simulate.run_ensemble(
         simulate.MapSpec(args.map, args.r),
         init,
@@ -217,10 +220,6 @@ def cmd_self_check(args) -> int:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
         failures += 0 if passed else 1
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
-
-
-class UsageError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +348,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc} (bound={_fmt(exc.bound)})", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NoRootError, chaos.DivergenceError, OverflowError) as exc:
+    except (NoRootError, maps.DivergenceError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

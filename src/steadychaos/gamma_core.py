@@ -1,5 +1,5 @@
 """Gamma-distribution machinery: density, raw and Laplace-weighted moments,
-central moments, and sampling.
+central moments, and the moment fit.
 
 Gamma-function ratios Gamma(k+n)/Gamma(k) are sums of logs (``math.fsum``)
 and the density is evaluated in log space with ``math.lgamma``, so that
@@ -116,17 +116,6 @@ def central_moment3(p: GammaParams) -> float:
 def central_moment4(p: GammaParams) -> float:
     """Fourth central moment, exactly (3 + 6/k) k^2 theta^4."""
     return (3.0 + 6.0 / p.k) * p.k**2 * p.theta**4
-
-
-def sample(p: GammaParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` independent gamma variates from ``rng``.
-
-    numpy's generator handles all k > 0, including k < 1, via the boosted
-    Marsaglia-Tsang scheme; draws are deterministic for a fixed stream state.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return rng.gamma(p.k, p.theta, size=count)
 
 
 def fit_from_moments(mean: float, variance: float) -> GammaParams:

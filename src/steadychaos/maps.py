@@ -8,7 +8,8 @@ A deterministic orbit lives on the closed domain: 0 is the extinct fixed
 point of both maps and logistic 1 maps onto it, so an orbit that touches
 them is still an orbit to analyse. A stochastic trajectory lives on the open
 domain: reaching 0 or 1 is extinction and reaching the cap is divergence, so
-the trajectory stops there. NaN is outside both.
+the trajectory stops there. NaN is outside both. Scalar deterministic orbits
+are stepped only here, by ``orbit`` and ``path``, which decide their escapes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ UPPER = {"logistic": 1.0, "ricker": RICKER_X_CAP}
 # Generic starting points away from fixed points, superstable preimages,
 # and poles; the second is the retry when an orbit from the first escapes.
 DEFAULT_X0 = {"logistic": (0.37, 0.23), "ricker": (0.7, 1.3)}
+
+
+class DivergenceError(RuntimeError):
+    """Orbit left the admissible region."""
 
 
 def check(kind: MapKind, r: float) -> None:
@@ -100,3 +105,75 @@ def in_domain(kind: MapKind, x):
 def in_open_domain(kind: MapKind, x):
     """x lies in the open domain of a stochastic trajectory."""
     return (0.0 < x) & (x < UPPER[kind])
+
+
+def _escaped(kind: MapKind, x: float) -> DivergenceError:
+    return DivergenceError(f"{kind} orbit escaped [0, {UPPER[kind]:g}] at x={x!r}")
+
+
+def orbit(kind: MapKind, r: float, x: float, y: float, settle: int, average: int = 0):
+    """Step the orbit from (x, y = ln x) ``settle`` times, then ``average``
+    times adding ln|f'(x_t)| before each step; returns (x, y, the sum), the sum
+    -inf at once on a superstable point. The steps are ``orbit_step``'s.
+    DivergenceError when the start or a step (overflow included) leaves the
+    closed domain."""
+    hi = UPPER[kind]
+    if not 0.0 <= x <= hi:
+        raise _escaped(kind, x)
+    total = 0.0
+    # orbit_step, log_abs_derivative and in_domain written out for floats on
+    # this sequential hot path; settling takes no logs
+    try:
+        if kind == "logistic":
+            for _ in range(settle):
+                x = r * x * (1.0 - x)
+                if not 0.0 <= x <= hi:
+                    raise _escaped(kind, x)
+            for _ in range(average):
+                d = r * (1.0 - 2.0 * x)
+                if d == 0.0:
+                    return x, y, -math.inf
+                total += math.log(abs(d))
+                x = r * x * (1.0 - x)
+                if not 0.0 <= x <= hi:
+                    raise _escaped(kind, x)
+            return x, y, total
+        for _ in range(settle):
+            y += r * (1.0 - x)
+            x = math.exp(y)
+            if not 0.0 <= x <= hi:
+                raise _escaped(kind, x)
+        for _ in range(average):
+            d = 1.0 - r * x
+            if d == 0.0:
+                return x, y, -math.inf
+            g = r * (1.0 - x)
+            total += g + math.log(abs(d))
+            y += g
+            x = math.exp(y)
+            if not 0.0 <= x <= hi:
+                raise _escaped(kind, x)
+    except OverflowError:
+        # e^y past the float range lands beyond the cap before the domain test
+        raise DivergenceError(f"{kind} orbit escaped [0, {hi:g}]: the step from "
+                              f"x={x!r} overflows the float range at r={r!r}") from None
+    return x, y, total
+
+
+def path(kind: MapKind, r: float, x0: float, steps: int) -> np.ndarray:
+    """x_0 .. x_steps of the deterministic orbit, stepped by ``step`` as an
+    ensemble is (no y = ln x); DivergenceError naming the step at which the
+    orbit leaves the closed domain or overflows the float range."""
+    check(kind, r)
+    out = np.empty(steps + 1)
+    out[0] = x = x0
+    where = f"the deterministic {kind} orbit from x0={x0!r}"
+    try:
+        for t in range(1, steps + 1):
+            out[t] = x = step(kind, r, x)
+            if not in_domain(kind, x):
+                raise DivergenceError(f"{where} escaped [0, {UPPER[kind]:g}] at step {t}, x={x!r}")
+    except OverflowError:
+        raise DivergenceError(f"{where} overflows the float range at step {t}, "
+                              f"from x={x!r} at r={r!r}") from None
+    return out

@@ -51,19 +51,9 @@ def ricker_mean_update(
 
 
 def deterministic_orbit(kind: MapKind, r: float, x0: float, t_max: int) -> np.ndarray:
-    orbit = np.empty(t_max + 1)
-    orbit[0] = x0
-    x = x0
-    try:
-        for t in range(t_max):
-            x = maps.step(kind, r, x)
-            orbit[t + 1] = x
-    except OverflowError:
-        raise OverflowError(
-            f"the deterministic {kind} orbit from x0={x0!r} overflows the float range "
-            f"at step {t + 1}, from x={x!r} at r={r!r}"
-        ) from None
-    return orbit
+    """x_0 .. x_t_max of the deterministic map (``maps.path``), the limit of the
+    ensemble mean; DivergenceError once the orbit leaves the closed domain."""
+    return maps.path(kind, r, x0, t_max)
 
 
 def convergence_sweep(
@@ -74,14 +64,12 @@ def convergence_sweep(
     y0: Optional[float] = None,
     n_traj: int = 20_000,
     seed: int = 0,
-    noise_scale: float = 1.0,
 ) -> list[tuple[float, float]]:
     """Max deviation of the stochastic ensemble mean from the deterministic
     orbit, per variance level.
 
     Each level v initializes the ensemble from a gamma distribution with mean
-    y0 and variance v, with noise variance noise_scale * v (both tied to the
-    single ladder parameter; noise_scale decouples them). Level 0 is exact.
+    y0 and variance v, with noise variance v. Level 0 is exact.
     """
     levels = [float(v) for v in ladder]
     for a, b in zip(levels, levels[1:]):
@@ -99,7 +87,7 @@ def convergence_sweep(
         stats = run_ensemble(
             MapSpec(kind, r),
             fit_from_moments(y0, v),
-            NoiseSpec(noise_scale * v),
+            NoiseSpec(v),
             t_max=t_max,
             n_traj=n_traj,
             seed=seed,

@@ -66,27 +66,19 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
 
 
-def noise_draw(spec: NoiseSpec, rng: np.random.Generator, size: Optional[int] = None):
-    """Draw mean-1 multiplicative noise; scalar if size is None, else an array.
+def noise_draw(spec: NoiseSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` mean-1 multiplicative noise variates.
 
     gamma family: shape 1/v, scale v; lognormal family: log-mean -ln(1+v)/2,
     log-variance ln(1+v). variance=0 returns exactly 1.
     """
-    n = 1 if size is None else size
     v = spec.variance
     if v == 0.0:
-        out = np.ones(n)
-    elif spec.family == "gamma":
-        out = rng.gamma(1.0 / v, v, size=n)
-    else:
-        s2 = math.log1p(v)
-        out = rng.lognormal(-0.5 * s2, math.sqrt(s2), size=n)
-    return float(out[0]) if size is None else out
-
-
-def step(map: MapSpec, x: float, eps: float) -> float:
-    """One stochastic iteration; negative logistic outputs are returned as-is."""
-    return maps.step(map.kind, map.r, x) * eps
+        return np.ones(size)
+    if spec.family == "gamma":
+        return rng.gamma(1.0 / v, v, size=size)
+    s2 = math.log1p(v)
+    return rng.lognormal(-0.5 * s2, math.sqrt(s2), size=size)
 
 
 def _iterate(map: MapSpec, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -215,10 +207,11 @@ def stationarity_check(
     if b.degenerate:
         raise ValueError("degenerate branch (theta = 0) cannot be sampled")
     r = b.r + r_offset
+    maps.check(map_kind, r)
     rng = trajectory_rng(seed, 0)
     x0 = rng.gamma(k, b.theta, size=n_traj)
     eps = noise_draw(NoiseSpec(var_eps, family), rng, size=n_traj)
-    x1 = step(MapSpec(map_kind, r), x0, eps)
+    x1 = maps.step(map_kind, r, x0) * eps
     mean, variance, se_mean, se_variance = _moments(x1)
     mean_z = float((mean - k * b.theta) / se_mean)
     var_z = float((variance - k * b.theta**2) / se_variance)

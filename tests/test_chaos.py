@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steadychaos import (
@@ -11,8 +11,6 @@ from steadychaos import (
     bifurcation_scan,
     chaos,
     classify,
-    det_derivative,
-    det_step,
     lyapunov,
     maps,
     transition_report,
@@ -27,18 +25,18 @@ class TestDerivative:
         for _ in range(100):
             r = float(rng.uniform(0.5, 3.5))
             x = float(rng.uniform(lo, hi))
-            fd = (det_step(kind, r, x + h) - det_step(kind, r, x - h)) / (2 * h)
-            assert det_derivative(kind, r, x) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            fd = (maps.step(kind, r, x + h) - maps.step(kind, r, x - h)) / (2 * h)
+            assert maps.derivative(kind, r, x) == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_known_points(self):
-        assert det_derivative("logistic", 3.0, 0.5) == 0.0
-        assert det_derivative("ricker", 2.0, 1.0) == -1.0
+        assert maps.derivative("logistic", 3.0, 0.5) == 0.0
+        assert maps.derivative("ricker", 2.0, 1.0) == -1.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            det_step("henon", 2.0, 0.5)
+            maps.step("henon", 2.0, 0.5)
         with pytest.raises(ValueError):
-            det_derivative("henon", 2.0, 0.5)
+            maps.derivative("henon", 2.0, 0.5)
 
 
 class TestSharedKernel:
@@ -76,41 +74,66 @@ class TestSharedKernel:
             assert abs(maps.second_derivative(kind, r, x) - exact) <= tol, x
 
     @staticmethod
-    def _kernel_lyapunov(kind, r, x0, burn_in, iters):
-        """Mean of ln|f'| along the maps.orbit_step orbit, the kernel the
-        lyapunov loops are specialised from; None once the orbit escapes.
-        Logistic terms are ln|maps.derivative|, Ricker terms
-        maps.log_abs_derivative."""
+    def _kernel_orbit(kind, r, x0, settle, average):
+        """(x, y, sum of ln|f'|) along the maps.orbit_step orbit, the kernel
+        maps.orbit is written out from; the sum is -inf from a zero derivative
+        on, and None means the orbit escaped or its step overflowed. Logistic
+        terms are ln|maps.derivative|, Ricker terms maps.log_abs_derivative."""
         x, y = x0, (math.log(x0) if x0 > 0.0 else -math.inf)
+        if not maps.in_domain(kind, x):
+            return None
         total = 0.0
-        for t in range(burn_in + iters):
-            if t >= burn_in:
-                d = maps.derivative(kind, r, x)
-                if d == 0.0:
-                    return -math.inf
+        for t in range(settle + average):
+            if t >= settle:
                 if kind == "logistic":
-                    total += math.log(abs(d))
+                    d = maps.derivative(kind, r, x)
+                    term = math.log(abs(d)) if d != 0.0 else -math.inf
                 else:
-                    total += float(maps.log_abs_derivative(kind, r, x))
-            x, y = maps.orbit_step(kind, r, x, y)
+                    with np.errstate(divide="ignore"):
+                        term = float(maps.log_abs_derivative(kind, r, x))
+                if term == -math.inf:
+                    return x, y, -math.inf
+                total += term
+            try:
+                x, y = maps.orbit_step(kind, r, x, y)
+            except OverflowError:
+                return None
             if not maps.in_domain(kind, x):
                 return None
-        return total / iters
+        return x, y, total
+
+    def _check_orbit(self, kind, r, x0, burn_in, iters, rel):
+        """maps.orbit in settling alone and in both phases, and lyapunov on
+        it, against the kernel: the same orbit floats, and sums within
+        ``rel`` (np.log in the kernel and math.log in the Ricker loop differ
+        by an ulp on a few inputs)."""
+        y0 = math.log(x0) if x0 > 0.0 else -math.inf
+        for settle, average in [(burn_in + iters, 0), (burn_in, iters)]:
+            want = self._kernel_orbit(kind, r, x0, settle, average)
+            if want is None:
+                with pytest.raises(DivergenceError):
+                    maps.orbit(kind, r, x0, y0, settle, average)
+                continue
+            x, y, total = maps.orbit(kind, r, x0, y0, settle, average)
+            assert (x, y) == want[:2]
+            assert total == pytest.approx(want[2], rel=rel, abs=0.0)
+        if want is None:
+            with pytest.raises(DivergenceError):
+                lyapunov(kind, r, x0=x0, burn_in=burn_in, iters=iters)
+        else:
+            lam = lyapunov(kind, r, x0=x0, burn_in=burn_in, iters=iters)
+            assert lam == pytest.approx(want[2] / iters, rel=rel, abs=0.0)
 
     @given(
-        r=st.floats(min_value=2.9, max_value=4.0),
+        r=st.floats(min_value=2.9, max_value=4.5),
         x0=st.floats(min_value=0.0, max_value=1.0),
         burn_in=st.integers(min_value=0, max_value=10),
         iters=st.integers(min_value=1, max_value=20),
     )
+    @example(r=2.0, x0=0.5, burn_in=0, iters=5)  # superstable at once
     @settings(max_examples=200)
     def test_logistic_lyapunov_loop_is_the_kernel(self, r, x0, burn_in, iters):
-        want = self._kernel_lyapunov("logistic", r, x0, burn_in, iters)
-        if want is None:
-            with pytest.raises(DivergenceError):
-                lyapunov("logistic", r, x0=x0, burn_in=burn_in, iters=iters)
-        else:
-            assert lyapunov("logistic", r, x0=x0, burn_in=burn_in, iters=iters) == want
+        self._check_orbit("logistic", r, x0, burn_in, iters, rel=0.0)
 
     @given(
         r=st.floats(min_value=1.5, max_value=3.0),
@@ -118,19 +141,20 @@ class TestSharedKernel:
         burn_in=st.integers(min_value=0, max_value=10),
         iters=st.integers(min_value=1, max_value=20),
     )
+    @example(r=2.0, x0=0.5, burn_in=0, iters=5)  # 1 - r x = 0 at once
+    @example(r=20.0, x0=0.7, burn_in=3, iters=5)  # beyond the cap
+    @example(r=2.0, x0=2e6, burn_in=0, iters=5)  # starts beyond it; f(x0) underflows to 0
+    @example(r=750.0, x0=1e-17, burn_in=0, iters=5)  # e^y overflows
+    @example(r=750.0, x0=1e-17, burn_in=5, iters=5)
     @settings(max_examples=200)
     def test_ricker_lyapunov_loop_is_the_kernel(self, r, x0, burn_in, iters):
-        # np.log in the kernel and math.log in the loop differ by an ulp on
-        # a few inputs; the orbits are the same floats
-        want = self._kernel_lyapunov("ricker", r, x0, burn_in, iters)
-        got = lyapunov("ricker", r, x0=x0, burn_in=burn_in, iters=iters)
-        assert got == pytest.approx(want, rel=1e-12)
+        self._check_orbit("ricker", r, x0, burn_in, iters, rel=1e-12)
 
     @staticmethod
     def _kernel_cycle(kind, r, x0, p_max):
         """The closure rule of the cycle check on the maps.orbit_step orbit,
-        the kernel its transient loops are specialised from; "escaped" once
-        the orbit leaves the closed domain."""
+        the kernel of the maps.orbit loops it steps with; "escaped" once the
+        orbit leaves the closed domain."""
         x, y = x0, (math.log(x0) if x0 > 0.0 else -math.inf)
         orbit = [(x, y)]
         for _ in range(chaos._CYCLE_TRANSIENT + 2 * p_max):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from steadychaos import bifurcation_scan, cli, det_step, logistic_solve, ricker_solve
+from steadychaos import bifurcation_scan, cli, logistic_solve, maps, ricker_solve
 from steadychaos.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -201,7 +201,7 @@ class TestSimulate:
         for row in rows:
             assert float(row["mean"]) == x
             assert row["variance"] == row["se_mean"] == row["se_variance"] == "0.0"
-            x = det_step("logistic", 2.0, x)
+            x = maps.step("logistic", 2.0, x)
 
     def test_seed_changes_output(self, capsys):
         _, a, _ = run_cli(capsys, *self.BASE)
@@ -268,8 +268,12 @@ class TestOutputText:
 
     @pytest.mark.parametrize("kind,r_min,r_max", BIFURCATE)
     def test_bifurcate_json(self, capsys, kind, r_min, r_max):
+        def cell(v):
+            return v if math.isfinite(v) else None
+
         want = "".join(
-            json.dumps({"r": rec.r, "x_sample": float(x), "lyapunov": rec.lyapunov}) + "\n"
+            json.dumps({"r": rec.r, "x_sample": cell(float(x)), "lyapunov": cell(rec.lyapunov)})
+            + "\n"
             for rec in self.records(kind, r_min, r_max) for x in rec.samples
         )
         assert self.bifurcate(capsys, kind, r_min, r_max, "--format", "json") == (0, want, "")
@@ -285,9 +289,33 @@ class TestOutputText:
             "a,b\n-0.0,1\n0.0,true\n0.0,1\n-0.0,false\nnan,0\nnan,0\nnan,x\n-0.0,x\n"
         )
         cli._emit(["a", "b"], rows, "json", None)
-        assert capsys.readouterr().out == "".join(
-            json.dumps({"a": a, "b": b}) + "\n" for a, b in rows
+        assert capsys.readouterr().out == (
+            '{"a": -0.0, "b": 1}\n{"a": 0.0, "b": true}\n{"a": 0.0, "b": 1}\n'
+            '{"a": -0.0, "b": false}\n{"a": null, "b": 0}\n{"a": null, "b": 0}\n'
+            '{"a": null, "b": "x"}\n{"a": -0.0, "b": "x"}\n'
         )
+
+    @pytest.mark.parametrize("argv,column", [
+        # an infeasible scan row has no r or theta; it used to print NaN
+        (("scan", "--map", "logistic", "--k", "2", "--var-eps-max", "0.5", "--steps", "2"), "r"),
+        # a superstable grid point has lyapunov -inf; it used to print -Infinity
+        (("bifurcate", "--map", "logistic", "--r-min", "2", "--r-max", "4", "--steps", "3",
+          "--samples", "1"), "lyapunov"),
+        # escaped Ricker grid points have NaN samples and exponents
+        (("bifurcate", "--map", "ricker", "--r-min", "1", "--r-max", "40", "--steps", "3",
+          "--samples", "2"), "x_sample"),
+    ], ids=["scan", "bifurcate_logistic", "bifurcate_ricker"])
+    def test_json_is_strict(self, capsys, argv, column):
+        def no_constant(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = [json.loads(line, parse_constant=no_constant) for line in out.splitlines()]
+        assert any(row[column] is None for row in rows)
+        csv_out = run_cli(capsys, *argv)[1]
+        assert any(cell in ("nan", "-inf") for line in csv_out.splitlines()[1:]
+                   for cell in line.split(","))
 
 
 class TestRepeatedCalls:
@@ -451,13 +479,36 @@ class TestConverge:
         assert len(lines) == 3
 
     def test_ricker_overflow_is_3_and_named(self, capsys):
+        # the first step from 0.7 needs e^900; at r = 750 the orbit escapes first
         code, out, err = run_cli(
-            capsys, "converge", "--map", "ricker", "--r", "750", "--ladder", "1e-2",
+            capsys, "converge", "--map", "ricker", "--r", "3000", "--ladder", "1e-2",
             "--n-traj", "10", "--t-max", "3",
         )
         assert code == 3 and out == ""
-        assert err.startswith("numerical failure: the deterministic ricker orbit from x0=0.7 ")
-        assert "overflows the float range" in err
+        assert err == ("numerical failure: the deterministic ricker orbit from x0=0.7 "
+                       "overflows the float range at step 1, from x=0.7 at r=3000.0\n")
+
+    @pytest.mark.parametrize("r,x", [("700", "1.1141386482645785e+91"),
+                                     ("750", "3.6421385965195014e+97")], ids=["r700", "r750"])
+    def test_ricker_escape_is_3_and_named(self, capsys, r, x):
+        # it used to print 0.01,nan at r = 700 and exit 0
+        code, out, err = run_cli(
+            capsys, "converge", "--map", "ricker", "--r", r, "--ladder", "1e-2",
+            "--n-traj", "10", "--t-max", "3",
+        )
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: the deterministic ricker orbit from x0=0.7 "
+                       f"escaped [0, 1e+06] at step 1, x={x}\n")
+
+    @pytest.mark.parametrize("r", ["nan", "inf", "-1", "0"])
+    def test_bad_growth_rate_is_usage(self, capsys, r):
+        # r is checked before the deterministic orbit can read it as an escape
+        code, out, err = run_cli(
+            capsys, "converge", "--map", "ricker", "--r", r, "--ladder", "1e-2",
+            "--n-traj", "10", "--t-max", "3",
+        )
+        assert code == 1 and out == ""
+        assert "growth rate" in err
 
     def test_bad_ladder_is_usage(self, capsys):
         code, _, _ = run_cli(

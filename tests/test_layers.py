@@ -72,6 +72,24 @@ def test_only_equilibrium_dispatches_between_solvers(module):
     assert not {"logistic_solve", "ricker_solve"} <= called_names(module)
 
 
+@pytest.mark.parametrize("module", ["chaos", "mean_dynamics"])
+def test_only_maps_exponentiates_an_orbit(module):
+    """Map steps are taken through ``maps``: analysis and mean dynamics call no exp."""
+    assert "exp" not in called_names(module)
+
+
+def test_divergence_error_is_defined_once_in_maps():
+    defined_in = [
+        module for module in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "DivergenceError"
+    ]
+    assert defined_in == ["maps"]
+    import steadychaos
+    from steadychaos import chaos, maps
+    assert steadychaos.DivergenceError is maps.DivergenceError is chaos.DivergenceError
+
+
 def test_cli_takes_choice_lists_from_the_library():
     spelled_out = {("logistic", "ricker"), ("gamma", "lognormal")}
     for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):

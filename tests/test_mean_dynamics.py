@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steadychaos import (
+    DivergenceError,
     GammaParams,
     MeanState,
     NoiseSpec,
@@ -16,7 +17,6 @@ from steadychaos import (
     noise_draw,
     raw_moment,
     ricker_mean_update,
-    sample,
 )
 
 
@@ -114,10 +114,24 @@ class TestDeterministicOrbit:
         assert len(orbit) == 8 and orbit[0] == 0.3
 
     def test_ricker_overflow_is_named(self):
-        # x1 = 0.7 e^225 sends x2 to 0.0, and the step from 0 needs e^750
-        with pytest.raises(OverflowError, match=r"deterministic ricker orbit from x0=0\.7 "
-                           r"overflows the float range at step 3, from x=0\.0 at r=750\.0"):
-            deterministic_orbit("ricker", 750.0, 0.7, 5)
+        # the first step needs e^{750 * 0.99}, past the float range
+        with pytest.raises(DivergenceError, match=r"deterministic ricker orbit from x0=0\.01 "
+                           r"overflows the float range at step 1, from x=0\.01 at r=750\.0"):
+            deterministic_orbit("ricker", 750.0, 0.01, 5)
+
+    @pytest.mark.parametrize("kind,r,x0,step,x", [
+        # x1 = 0.7 e^225 lies beyond the cap; it used to overflow at step 3
+        ("ricker", 750.0, 0.7, 1, "3.6421385965195014e+97"),
+        ("ricker", 700.0, 0.7, 1, "1.1141386482645785e+91"),
+        ("logistic", 4.5, 0.5, 1, "1.125"),
+    ], ids=["ricker750", "ricker700", "logistic"])
+    def test_escape_is_named(self, kind, r, x0, step, x):
+        bound = "1e+06" if kind == "ricker" else "1"
+        message = (f"the deterministic {kind} orbit from x0={x0!r} escaped [0, {bound}] "
+                   f"at step {step}, x={x}")
+        with pytest.raises(DivergenceError) as info:
+            deterministic_orbit(kind, r, x0, 5)
+        assert str(info.value) == message
 
     def test_matches_iterated_map(self):
         orbit = deterministic_orbit("logistic", 3.7, 0.2, 5)
