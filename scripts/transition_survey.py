@@ -9,18 +9,13 @@ column flips to TRANSITION for small k.
 
 import argparse
 
-from steadychaos import logistic_feasibility, transition_report
+from steadychaos import logistic_noise_bound, transition_report
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--k", default="0.5,1,2,5,10,100", help="comma-separated shape values"
-    )
-    parser.add_argument(
-        "--iters", type=int, default=50_000,
-        help="orbit-average length of the Lyapunov exponent, used only on "
-        "branches with no attracting cycle",
     )
     args = parser.parse_args()
     ks = [float(part) for part in args.k.split(",")]
@@ -29,10 +24,10 @@ def main() -> None:
     for kind in ("logistic", "ricker"):
         for k in ks:
             if kind == "logistic":
-                v = min(0.05, 0.5 * logistic_feasibility(k, 0.0)[1])
+                v = min(0.05, 0.5 * logistic_noise_bound(k))
             else:
                 v = 0.0
-            rep = transition_report(kind, k, v, iters=args.iters)
+            rep = transition_report(kind, k, v)
             verdict = "TRANSITION" if rep.transition_found else "NO TRANSITION"
             detail = ", ".join(
                 f"{label}: r={regime.r:.4f} {regime.regime}"

@@ -16,7 +16,7 @@ from .equilibrium import (
     InfeasibleError,
     NoiseSpec,
     NoRootError,
-    logistic_feasibility,
+    logistic_noise_bound,
     logistic_quadratic_residual,
     logistic_solve,
     ricker_noise_bound,
@@ -39,8 +39,7 @@ from .mean_dynamics import (
     MeanState,
     convergence_sweep,
     deterministic_orbit,
-    logistic_mean_update,
-    ricker_mean_update,
+    mean_update,
 )
 from .simulate import (
     EnsembleStats,

@@ -17,8 +17,8 @@ from . import maps
 from .equilibrium import EquilibriumSolution, solve
 from .maps import DivergenceError, MapKind
 
-DEFAULT_LYAP_TOL = 1e-3
-DEFAULT_P_MAX = 64
+_LYAP_TOL = 1e-3
+_P_MAX = 64
 DEFAULT_BURN_IN = 1_000
 DEFAULT_ITERS = 100_000
 _CYCLE_TRANSIENT = 10_000
@@ -85,39 +85,30 @@ def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optiona
     return None
 
 
-def classify(
-    kind: MapKind,
-    r: float,
-    lyap_tol: float = DEFAULT_LYAP_TOL,
-    p_max: int = DEFAULT_P_MAX,
-    x0: Optional[float] = None,
-    burn_in: int = DEFAULT_BURN_IN,
-    iters: int = DEFAULT_ITERS,
-) -> RegimeReport:
+def classify(kind: MapKind, r: float, iters: int = DEFAULT_ITERS) -> RegimeReport:
     """Classify the deterministic regime at growth rate r.
 
-    Cycle first: an orbit that settles on a cycle of period p <= p_max with
-    exact exponent below -lyap_tol is stable_fixed (p = 1) or periodic. Only
+    Cycle first: an orbit that settles on a cycle of period p <= _P_MAX with
+    exact exponent below -_LYAP_TOL is stable_fixed (p = 1) or periodic. Only
     otherwise is the exponent the ``lyapunov`` orbit average over ``iters``
-    steps after ``burn_in``: chaotic above lyap_tol, else marginal. divergent
-    when the orbit escapes from every starting point.
+    steps after DEFAULT_BURN_IN: chaotic above _LYAP_TOL, else marginal.
+    divergent when the orbit escapes from both ``maps.DEFAULT_X0`` starts.
     """
     maps.check(kind, r)
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    starts = (x0,) if x0 is not None else maps.DEFAULT_X0[kind]
-    for start in starts:
+    for start in maps.DEFAULT_X0[kind]:
         try:
-            cycle = _attracting_cycle(kind, r, start, p_max)
+            cycle = _attracting_cycle(kind, r, start, _P_MAX)
             # a closure inside the tolerance band is a bifurcation edge
-            if cycle is not None and cycle[1] < -lyap_tol:
+            if cycle is not None and cycle[1] < -_LYAP_TOL:
                 period, lam = cycle
                 regime = "stable_fixed" if period == 1 else "periodic"
                 return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, period=period)
-            lam = lyapunov(kind, r, x0=start, burn_in=burn_in, iters=iters)
+            lam = lyapunov(kind, r, x0=start, iters=iters)
         except DivergenceError:
             continue
-        regime = "chaotic" if lam > lyap_tol else "marginal"
+        regime = "chaotic" if lam > _LYAP_TOL else "marginal"
         return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime)
     return RegimeReport(kind=kind, r=r, lyapunov=float("nan"), regime="divergent")
 
@@ -174,21 +165,11 @@ def bifurcation_scan(
     ]
 
 
-def transition_report(
-    kind: MapKind,
-    k: float,
-    var_eps: float,
-    lyap_tol: float = DEFAULT_LYAP_TOL,
-    iters: int = DEFAULT_ITERS,
-) -> TransitionReport:
-    """Solve the equilibrium branches and classify each growth rate
-    deterministically; transition_found iff any branch is chaotic. ``iters``
-    is the orbit-average length of ``classify``, used only on branches with no
-    attracting cycle."""
+def transition_report(kind: MapKind, k: float, var_eps: float) -> TransitionReport:
+    """Solve the equilibrium branches and ``classify`` each growth rate
+    deterministically; transition_found iff any branch is chaotic."""
     sol = solve(kind, k, var_eps)
-    classified = tuple(
-        (b.label, classify(kind, b.r, lyap_tol=lyap_tol, iters=iters)) for b in sol.branches
-    )
+    classified = tuple((b.label, classify(kind, b.r)) for b in sol.branches)
     found = any(report.regime == "chaotic" for _, report in classified)
     return TransitionReport(
         kind=kind, k=k, var_eps=var_eps, branches=classified,

@@ -89,12 +89,10 @@ def _check_var(var_eps: float) -> None:
 # Logistic map
 # ---------------------------------------------------------------------------
 
-def logistic_feasibility(k: float, var_eps: float) -> tuple[bool, float]:
-    """Real branches exist iff var_eps <= 1/(k+2) and var_eps <= 0.5."""
+def logistic_noise_bound(k: float) -> float:
+    """Largest noise variance with real branches: 1/(k+2)."""
     _check_k(k)
-    _check_var(var_eps)
-    bound = min(1.0 / (k + 2.0), 0.5)
-    return var_eps <= bound, bound
+    return 1.0 / (k + 2.0)
 
 
 def logistic_quadratic_residual(r: float, k: float, var_eps: float) -> float:
@@ -114,8 +112,9 @@ def logistic_theta(r: float, k: float) -> float:
 
 def logistic_solve(k: float, var_eps: float) -> EquilibriumSolution:
     """Solve for both growth-rate branches of the stochastic logistic map."""
-    feasible, bound = logistic_feasibility(k, var_eps)
-    if not feasible:
+    bound = logistic_noise_bound(k)
+    _check_var(var_eps)
+    if var_eps > bound:
         raise InfeasibleError(
             f"var_eps={var_eps} exceeds feasibility bound {bound} for k={k}",
             bound=bound,

@@ -162,15 +162,17 @@ def orbit(kind: MapKind, r: float, x: float, y: float, settle: int, average: int
 
 def path(kind: MapKind, r: float, x0: float, steps: int) -> np.ndarray:
     """x_0 .. x_steps of the deterministic orbit, stepped by ``step`` as an
-    ensemble is (no y = ln x); DivergenceError naming the step at which the
-    orbit leaves the closed domain or overflows the float range."""
+    ensemble is (no y = ln x); DivergenceError naming the step (0 for the
+    start) at which it leaves the closed domain or overflows the float range."""
     check(kind, r)
     out = np.empty(steps + 1)
-    out[0] = x = x0
+    x = x0
     where = f"the deterministic {kind} orbit from x0={x0!r}"
     try:
-        for t in range(1, steps + 1):
-            out[t] = x = step(kind, r, x)
+        for t in range(steps + 1):
+            if t:
+                x = step(kind, r, x)
+            out[t] = x
             if not in_domain(kind, x):
                 raise DivergenceError(f"{where} escaped [0, {UPPER[kind]:g}] at step {t}, x={x!r}")
     except OverflowError:

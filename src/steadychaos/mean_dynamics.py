@@ -1,14 +1,14 @@
 """Deterministic recursions for the ensemble mean and convergence diagnostics.
 
-The logistic mean update is exact; the Ricker update carries the explicit
-second-order variance correction, with higher orders represented only
-through the convergence-order diagnostics.
+The one-step mean update is exact for the logistic map; for Ricker it carries
+the explicit second-order variance correction, with higher orders represented
+only through the convergence-order diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .gamma_core import fit_from_moments
 from .maps import MapKind
 from .simulate import MapSpec, run_ensemble
 
-_DEFAULT_Y0 = {"logistic": 0.3, "ricker": 0.7}
+_Y0 = {"logistic": 0.3, "ricker": 0.7}
 
 
 @dataclass(frozen=True)
@@ -31,23 +31,11 @@ class MeanState:
             raise ValueError(f"var_x must be >= 0, got {self.var_x!r}")
 
 
-def logistic_mean_update(r: float, state: MeanState) -> float:
-    """Exact one-step mean f(y) + f''(y) Var(X)/2 = r y (1-y) - r Var(X); f is quadratic."""
-    y, v = state.y, state.var_x
-    return maps.step("logistic", r, y) + maps.second_derivative("logistic", r, y) * v / 2
-
-
-def ricker_mean_update(
-    r: float, state: MeanState, order: Literal["leading", "corrected"] = "corrected"
-) -> float:
-    """One-step mean f(y) = y e^{r(1-y)}, optionally with the second-order
-    variance correction f''(y) Var(X)/2 = e^{r(1-y)} (r^2 y / 2 - r) Var(X)."""
-    if order not in ("leading", "corrected"):
-        raise ValueError(f"order must be 'leading' or 'corrected', got {order!r}")
-    f = maps.step("ricker", r, state.y)
-    if order == "leading":
-        return f
-    return f + maps.second_derivative("ricker", r, state.y) * state.var_x / 2
+def mean_update(kind: MapKind, r: float, state: MeanState) -> float:
+    """One-step mean f(y) + f''(y) Var(X)/2 of an ensemble with mean y: exact for
+    the quadratic logistic map, second order in Var(X) for Ricker."""
+    y = state.y
+    return maps.step(kind, r, y) + maps.second_derivative(kind, r, y) * state.var_x / 2
 
 
 def deterministic_orbit(kind: MapKind, r: float, x0: float, t_max: int) -> np.ndarray:
@@ -61,7 +49,6 @@ def convergence_sweep(
     r: float,
     ladder: Sequence[float],
     t_max: int,
-    y0: Optional[float] = None,
     n_traj: int = 20_000,
     seed: int = 0,
 ) -> list[tuple[float, float]]:
@@ -69,7 +56,9 @@ def convergence_sweep(
     orbit, per variance level.
 
     Each level v initializes the ensemble from a gamma distribution with mean
-    y0 and variance v, with noise variance v. Level 0 is exact.
+    y0 (0.3 logistic, 0.7 Ricker) and variance v, with noise variance v.
+    Level 0 is exact. DivergenceError when the orbit escapes, or fewer than two
+    trajectories of a level stay in the domain.
     """
     levels = [float(v) for v in ladder]
     for a, b in zip(levels, levels[1:]):
@@ -77,7 +66,7 @@ def convergence_sweep(
             raise ValueError(f"variance ladder must be strictly decreasing, got {levels}")
     if any(v < 0 for v in levels):
         raise ValueError(f"variance levels must be >= 0, got {levels}")
-    y0 = _DEFAULT_Y0[kind] if y0 is None else y0
+    y0 = _Y0[kind]
     det = deterministic_orbit(kind, r, y0, t_max)
     out = []
     for v in levels:
@@ -92,5 +81,10 @@ def convergence_sweep(
             n_traj=n_traj,
             seed=seed,
         )
+        survivors = round(n_traj * (1.0 - stats.extinct_fraction))
+        if survivors < 2:
+            raise maps.DivergenceError(f"the {kind} ensemble at variance level {v!r} kept "
+                                       f"{survivors} of {n_traj} trajectories in the open "
+                                       f"domain over {t_max} steps; a mean needs 2")
         out.append((v, float(np.max(np.abs(stats.mean - det)))))
     return out

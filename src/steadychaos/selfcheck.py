@@ -35,7 +35,7 @@ def _check_gamma_moments() -> tuple[str, bool, str]:
 def _check_logistic_residuals() -> tuple[str, bool, str]:
     worst = 0.0
     for k in (0.01, 1.0, 2.0, 10.0, 100.0):
-        bound = equilibrium.logistic_feasibility(k, 0.0)[1]
+        bound = equilibrium.logistic_noise_bound(k)
         for v in np.linspace(0.0, bound, 20):
             sol = equilibrium.solve("logistic", k, float(v))
             for b in sol.branches:

@@ -19,14 +19,13 @@ from steadychaos import (
     central_moment4,
     classify,
     laplace_moment,
-    logistic_feasibility,
-    logistic_mean_update,
+    logistic_noise_bound,
     logistic_quadratic_residual,
     logistic_solve,
     lyapunov,
+    mean_update,
     noise_draw,
     raw_moment,
-    ricker_mean_update,
     ricker_residual,
     ricker_solve,
 )
@@ -78,7 +77,7 @@ def test_criterion_1_gamma_algebra_vs_quadrature():
 def test_criterion_2_logistic_equilibrium_grid():
     with _Budget("criterion 2: logistic branch residuals and no-chaos range", 1.0):
         for k in GRID_K:
-            bound = logistic_feasibility(k, 0.0)[1]
+            bound = logistic_noise_bound(k)
             cap = (3.0 * k + 5.0) / (k + 3.0)
             for v in np.linspace(0.0, bound, 20):
                 v = float(v)
@@ -175,7 +174,7 @@ def test_criterion_5_mean_recursions():
         for name, (x0, var_x) in inits.items():
             eps = noise_draw(NoiseSpec(0.05), rng, size=n)
             x1 = r * x0 * (1.0 - x0) * eps
-            predicted = logistic_mean_update(r, MeanState(y, var_x))
+            predicted = mean_update("logistic", r, MeanState(y, var_x))
             se = x1.std(ddof=1) / math.sqrt(n)
             assert abs(x1.mean() - predicted) < 4.0 * se, name
 
@@ -185,7 +184,7 @@ def test_criterion_5_mean_recursions():
         errors = []
         for v in ladder:
             exact = _exact_ricker_mean(r, y, float(v))
-            approx = ricker_mean_update(r, MeanState(y, float(v)), order="corrected")
+            approx = mean_update("ricker", r, MeanState(y, float(v)))
             errors.append(abs(approx - exact))
         slope = np.polyfit(np.log(ladder), np.log(errors), 1)[0]
         assert slope >= 1.3, (slope, errors)
@@ -214,7 +213,7 @@ def test_criterion_6_lyapunov_oracles():
 def test_criterion_7_cli_end_to_end(capsys):
     with _Budget("criterion 7: CLI transition verdicts and determinism", 30.0):
         for k in (0.5, 1.0, 2.0, 10.0):
-            v = min(0.05, 0.5 * logistic_feasibility(k, 0.0)[1])
+            v = min(0.05, 0.5 * logistic_noise_bound(k))
             code = cli_main(
                 ["transition", "--map", "logistic", "--k", str(k), "--var-eps", str(v)]
             )

@@ -333,7 +333,7 @@ class TestClassify:
         # closes at period 1; stepped in ln x it closes nowhere
         r = 9.146311040868133
         for x0 in maps.DEFAULT_X0["ricker"]:
-            assert chaos._attracting_cycle("ricker", r, x0, chaos.DEFAULT_P_MAX) is None
+            assert chaos._attracting_cycle("ricker", r, x0, chaos._P_MAX) is None
         rep = classify("ricker", r)
         assert rep.regime == "chaotic" and rep.lyapunov == 0.04460054175073858
 
@@ -341,18 +341,18 @@ class TestClassify:
     def _orbit_average_rule(kind, r, iters):
         """Regime and period by the orbit-average rule: the sign of the
         lyapunov orbit average decides, and a period counts only below
-        -lyap_tol, as the least p whose directly stepped orbit returns within
+        -_LYAP_TOL, as the least p whose directly stepped orbit returns within
         1e-8 after the cycle-check transient."""
         lam = lyapunov(kind, r, iters=iters)
-        if lam > chaos.DEFAULT_LYAP_TOL:
+        if lam > chaos._LYAP_TOL:
             return "chaotic", None
         x = maps.DEFAULT_X0[kind][0]
         for _ in range(chaos._CYCLE_TRANSIENT):
             x = maps.step(kind, r, x)
         ref = x
-        for p in range(1, chaos.DEFAULT_P_MAX + 1):
+        for p in range(1, chaos._P_MAX + 1):
             x = maps.step(kind, r, x)
-            if abs(x - ref) < 1e-8 * max(1.0, abs(ref)) and lam < -chaos.DEFAULT_LYAP_TOL:
+            if abs(x - ref) < 1e-8 * max(1.0, abs(ref)) and lam < -chaos._LYAP_TOL:
                 return ("stable_fixed" if p == 1 else "periodic"), p
         return "marginal", None
 
@@ -389,8 +389,9 @@ class TestClassify:
         assert classify("logistic", 4.5, iters=5_000).regime == "divergent"
 
     def test_ricker_overflow_is_divergent(self):
-        # from x0 = 1e-17 at r = 750 the first step's e^y overflows the float range
-        report = classify("ricker", 750.0, x0=1e-17)
+        # at r = 3000 the orbits from both default starts overflow the float
+        # range: from 0.7 the first step needs e^900, from 1.3 the second
+        report = classify("ricker", 3000.0)
         assert report.regime == "divergent" and math.isnan(report.lyapunov)
 
 
@@ -456,25 +457,25 @@ class TestTransitionReport:
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 10.0, 100.0])
     def test_logistic_never_transitions(self, k):
         # both logistic branches sit below 3, inside the stable window
-        from steadychaos import logistic_feasibility
+        from steadychaos import logistic_noise_bound
 
-        v = min(0.05, 0.5 * logistic_feasibility(k, 0.0)[1])
-        rep = transition_report("logistic", k, v, iters=20_000)
+        v = min(0.05, 0.5 * logistic_noise_bound(k))
+        rep = transition_report("logistic", k, v)
         assert not rep.transition_found
         for _, branch_rep in rep.branches:
             assert branch_rep.regime in ("stable_fixed", "marginal")
 
     @pytest.mark.parametrize("k", [0.5, 1.0])
     def test_ricker_small_k_transitions(self, k):
-        rep = transition_report("ricker", k, 0.0, iters=20_000)
+        rep = transition_report("ricker", k, 0.0)
         assert rep.transition_found
         labels = dict(rep.branches)
         assert labels["plus"].regime == "chaotic"
 
     def test_ricker_large_k_no_transition(self):
-        rep = transition_report("ricker", 100.0, 0.0, iters=20_000)
+        rep = transition_report("ricker", 100.0, 0.0)
         assert not rep.transition_found
 
     def test_branch_labels_match_solution(self):
-        rep = transition_report("ricker", 1.0, 0.05, iters=20_000)
+        rep = transition_report("ricker", 1.0, 0.05)
         assert [label for label, _ in rep.branches] == [b.label for b in rep.solution.branches]

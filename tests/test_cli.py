@@ -500,6 +500,17 @@ class TestConverge:
         assert err == ("numerical failure: the deterministic ricker orbit from x0=0.7 "
                        f"escaped [0, 1e+06] at step 1, x={x}\n")
 
+    def test_every_trajectory_exiting_is_3_and_named(self, capsys):
+        # the orbit 0.7 -> 1.1e5 -> 0 stays in the domain, but every
+        # trajectory exits, so the level has no mean
+        code, out, err = run_cli(
+            capsys, "converge", "--map", "ricker", "--r", "40", "--ladder", "1e-2",
+            "--n-traj", "10", "--t-max", "3",
+        )
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: the ricker ensemble at variance level 0.01 kept 0 "
+                       "of 10 trajectories in the open domain over 3 steps; a mean needs 2\n")
+
     @pytest.mark.parametrize("r", ["nan", "inf", "-1", "0"])
     def test_bad_growth_rate_is_usage(self, capsys, r):
         # r is checked before the deterministic orbit can read it as an escape

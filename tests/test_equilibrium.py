@@ -14,7 +14,7 @@ from steadychaos import (
     NoRootError,
     NoiseSpec,
     laplace_moment,
-    logistic_feasibility,
+    logistic_noise_bound,
     logistic_quadratic_residual,
     logistic_solve,
     raw_moment,
@@ -53,30 +53,29 @@ class TestNoiseSpec:
 
 class TestLogisticFeasibility:
     def test_bound_k2(self):
-        feasible, bound = logistic_feasibility(2.0, 0.3)
-        assert bound == 0.25
-        assert not feasible
+        assert logistic_noise_bound(2.0) == 0.25
+        with pytest.raises(InfeasibleError):
+            logistic_solve(2.0, 0.3)
 
     def test_bound_small_k(self):
-        feasible, bound = logistic_feasibility(0.01, 0.4)
-        assert bound == pytest.approx(1.0 / 2.01, rel=1e-15)
-        assert feasible
+        assert logistic_noise_bound(0.01) == pytest.approx(1.0 / 2.01, rel=1e-15)
+        logistic_solve(0.01, 0.4)
 
     def test_half_cap(self):
-        _, bound = logistic_feasibility(0.001, 0.0)
-        assert bound == pytest.approx(1 / 2.001)
-        # the 0.5 cap binds only for k below 0; min(1/(k+2), 0.5) = 1/(k+2) here
-        assert logistic_feasibility(1e-12, 0.0)[1] <= 0.5
+        # 1/(k+2) reaches 1/2 only in the limit k -> 0, so no 1/2 cap is needed
+        assert logistic_noise_bound(0.001) == pytest.approx(1 / 2.001)
+        assert logistic_noise_bound(1e-12) <= 0.5
 
     def test_boundary_is_feasible(self):
         k = 2.0
-        assert logistic_feasibility(k, 1.0 / (k + 2.0))[0]
+        sol = logistic_solve(k, logistic_noise_bound(k))
+        assert sol.bound_var == logistic_noise_bound(k)
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
-            logistic_feasibility(0.0, 0.1)
+            logistic_noise_bound(0.0)
         with pytest.raises(ValueError):
-            logistic_feasibility(1.0, -0.1)
+            logistic_solve(1.0, -0.1)
 
 
 class TestLogisticSolve:
@@ -108,7 +107,7 @@ class TestLogisticSolve:
 
     @pytest.mark.parametrize("k", FEASIBILITY_K)
     def test_residual_and_range_over_grid(self, k):
-        bound = logistic_feasibility(k, 0.0)[1]
+        bound = logistic_noise_bound(k)
         cap = (3 * k + 5) / (k + 3)
         for v in np.linspace(0.0, bound, 20):
             sol = logistic_solve(k, float(v))
@@ -123,8 +122,7 @@ class TestLogisticSolve:
     def test_mean_stationarity_identity(self, k):
         # mu (1 - r) = -r E[X^2] with theta from the solved branch
         for v in (0.0, 0.05, 0.1):
-            feasible, _ = logistic_feasibility(k, v)
-            if not feasible:
+            if v > logistic_noise_bound(k):
                 continue
             sol = logistic_solve(k, v)
             for b in sol.branches:
@@ -137,7 +135,7 @@ class TestLogisticSolve:
 
     def test_theta_positive_for_growing_branches(self):
         for k in FEASIBILITY_K:
-            bound = logistic_feasibility(k, 0.0)[1]
+            bound = logistic_noise_bound(k)
             sol = logistic_solve(k, min(0.05, 0.5 * bound))
             for b in sol.branches:
                 if b.r > 1.0:

@@ -13,10 +13,10 @@ from steadychaos import (
     convergence_sweep,
     deterministic_orbit,
     laplace_moment,
-    logistic_mean_update,
+    maps,
+    mean_update,
     noise_draw,
     raw_moment,
-    ricker_mean_update,
 )
 
 
@@ -31,10 +31,10 @@ class TestMeanState:
 
 class TestLogisticUpdate:
     def test_known_value(self):
-        assert logistic_mean_update(2.0, MeanState(0.5, 0.01)) == pytest.approx(0.48, rel=1e-15)
+        assert mean_update("logistic", 2.0, MeanState(0.5, 0.01)) == pytest.approx(0.48, rel=1e-15)
 
     def test_zero_variance_is_det_step(self):
-        assert logistic_mean_update(2.5, MeanState(0.3, 0.0)) == pytest.approx(
+        assert mean_update("logistic", 2.5, MeanState(0.3, 0.0)) == pytest.approx(
             2.5 * 0.3 * 0.7, rel=1e-15
         )
 
@@ -49,7 +49,7 @@ class TestLogisticUpdate:
         # instantiated with gamma closed-form moments
         p = GammaParams(k, theta)
         expected = r * (p.mean() - raw_moment(p, 2))
-        got = logistic_mean_update(r, MeanState(p.mean(), p.variance()))
+        got = mean_update("logistic", r, MeanState(p.mean(), p.variance()))
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-14)
 
     def test_exact_against_monte_carlo(self):
@@ -60,14 +60,14 @@ class TestLogisticUpdate:
         r = 2.2
         eps = noise_draw(NoiseSpec(0.05), rng, size=n)
         x1 = r * x * (1 - x) * eps
-        pred = logistic_mean_update(r, MeanState(float(x.mean()), float(x.var())))
+        pred = mean_update("logistic", r, MeanState(float(x.mean()), float(x.var())))
         assert abs(x1.mean() - pred) < 4 * x1.std(ddof=1) / math.sqrt(n)
 
 
 class TestRickerUpdate:
     def test_leading_order_is_det_step(self):
         y = 0.7
-        assert ricker_mean_update(1.5, MeanState(y, 0.02), order="leading") == pytest.approx(
+        assert mean_update("ricker", 1.5, MeanState(y, 0.0)) == pytest.approx(
             y * math.exp(1.5 * 0.3), rel=1e-15
         )
 
@@ -75,11 +75,7 @@ class TestRickerUpdate:
         r, y, v = 1.5, 0.7, 0.02
         growth = math.exp(r * (1 - y))
         expected = y * growth + growth * (r * r * y / 2 - r) * v
-        assert ricker_mean_update(r, MeanState(y, v)) == pytest.approx(expected, rel=1e-15)
-
-    def test_rejects_unknown_order(self):
-        with pytest.raises(ValueError):
-            ricker_mean_update(1.0, MeanState(0.5, 0.0), order="cubic")
+        assert mean_update("ricker", r, MeanState(y, v)) == pytest.approx(expected, rel=1e-15)
 
     def test_corrected_beats_leading_against_exact_laplace(self):
         # gamma initial law has the exact update e^r E[X e^{-rX}]
@@ -88,9 +84,8 @@ class TestRickerUpdate:
             y = 0.7
             p = GammaParams(y * y / v, v / y)
             exact = math.exp(r) * laplace_moment(p, 1, r)
-            state = MeanState(y, v)
-            err_lead = abs(ricker_mean_update(r, state, order="leading") - exact)
-            err_corr = abs(ricker_mean_update(r, state, order="corrected") - exact)
+            err_lead = abs(maps.step("ricker", r, y) - exact)
+            err_corr = abs(mean_update("ricker", r, MeanState(y, v)) - exact)
             assert err_corr < err_lead
 
     def test_corrected_error_shrinks_superlinearly(self):
@@ -100,7 +95,7 @@ class TestRickerUpdate:
         for v in (4e-3, 2e-3, 1e-3):
             p = GammaParams(y * y / v, v / y)
             exact = math.exp(r) * laplace_moment(p, 1, r)
-            errors.append(abs(ricker_mean_update(r, MeanState(y, v)) - exact))
+            errors.append(abs(mean_update("ricker", r, MeanState(y, v)) - exact))
         assert errors[0] > 2.4 * errors[1] > 2.4 * 2.4 * errors[2]
 
 
@@ -124,7 +119,14 @@ class TestDeterministicOrbit:
         ("ricker", 750.0, 0.7, 1, "3.6421385965195014e+97"),
         ("ricker", 700.0, 0.7, 1, "1.1141386482645785e+91"),
         ("logistic", 4.5, 0.5, 1, "1.125"),
-    ], ids=["ricker750", "ricker700", "logistic"])
+        # a start outside the domain escapes at step 0; from 2e6 the first
+        # Ricker step underflows to 0, inside the domain
+        ("ricker", 1.0, 2e6, 0, "2000000.0"),
+        ("ricker", 1.0, math.nan, 0, "nan"),
+        ("logistic", 1.0, 1.5, 0, "1.5"),
+        ("logistic", 1.0, -0.1, 0, "-0.1"),
+    ], ids=["ricker750", "ricker700", "logistic", "ricker_start", "nan_start",
+            "logistic_start", "negative_start"])
     def test_escape_is_named(self, kind, r, x0, step, x):
         bound = "1e+06" if kind == "ricker" else "1"
         message = (f"the deterministic {kind} orbit from x0={x0!r} escaped [0, {bound}] "
@@ -160,6 +162,20 @@ class TestConvergenceSweep:
         out = convergence_sweep(kind, r, ladder, t_max=30, n_traj=40_000, seed=2)
         devs = [d for _, d in out]
         assert devs[0] > devs[1] > devs[2]
+
+    @pytest.mark.parametrize("r,t_max,n_traj,kept", [(40.0, 3, 10, 0), (15.0, 2, 2, 1)])
+    def test_level_without_two_survivors_is_named(self, r, t_max, n_traj, kept):
+        # the deterministic orbit stays in the domain; the ensemble does not
+        message = (f"the ricker ensemble at variance level 0.01 kept {kept} of {n_traj} "
+                   f"trajectories in the open domain over {t_max} steps; a mean needs 2")
+        with pytest.raises(DivergenceError) as info:
+            convergence_sweep("ricker", r, [1e-2], t_max=t_max, n_traj=n_traj, seed=0)
+        assert str(info.value) == message
+
+    def test_two_survivors_give_a_finite_deviation(self):
+        # one trajectory more than the case above keeps two in the domain
+        (v, dev), = convergence_sweep("ricker", 15.0, [1e-2], t_max=2, n_traj=3, seed=0)
+        assert v == 1e-2 and math.isfinite(dev)
 
     def test_levels_echoed_in_order(self):
         ladder = [1e-2, 1e-3]

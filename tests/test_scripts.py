@@ -31,7 +31,7 @@ def test_reproduce_figures_writes_three_csvs(tmp_path):
 
 
 def test_transition_survey_verdicts():
-    done = run_script("transition_survey.py", "--k", "0.5,1,10", "--iters", "5000")
+    done = run_script("transition_survey.py", "--k", "0.5,1,10")
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     logistic = [row for row in rows if row[0] == "logistic"]
