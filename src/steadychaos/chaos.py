@@ -2,7 +2,8 @@
 bifurcation scans, and the steady-state-to-chaos transition report.
 
 Chaos is decided by the numerically computed Lyapunov sign, never by fixed
-literature thresholds.
+literature thresholds. Off a cycle the exponent is an ensemble estimate with a
+standard error, and the sign counts only once it is settled.
 """
 
 from __future__ import annotations
@@ -18,11 +19,19 @@ from .equilibrium import EquilibriumSolution, solve
 from .maps import DivergenceError, MapKind
 
 _LYAP_TOL = 1e-3
-_P_MAX = 64
+_P_MAX = 128
 DEFAULT_BURN_IN = 1_000
 DEFAULT_ITERS = 100_000
 _CYCLE_TRANSIENT = 10_000
 _CYCLE_TOL = 1e-8
+# the ensemble estimator: orbits stepped together, steps between stop tests,
+# and the z of the stop |lambda| > z se (the z of the stationarity test)
+_ORBITS = 256
+_CHUNK = 200
+_Z = 4.0
+# orbit j starts at frac(x0 + j (sqrt(5) - 1)/2), spread over (0, 1); an even
+# grid would hold 1/2, which the logistic map at r = 4 sends onto 1 and then 0
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -32,6 +41,10 @@ class RegimeReport:
     lyapunov: float
     regime: str  # stable_fixed | periodic | chaotic | divergent | marginal
     period: Optional[int] = None
+    # chaotic and marginal only: the standard error of ``lyapunov`` and the
+    # steps averaged per orbit
+    se: Optional[float] = None
+    iters: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,49 @@ class TransitionReport:
     solution: EquilibriumSolution
 
 
+def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: int) -> tuple:
+    """(lambda, se, n): the Lyapunov exponent as the mean of the ln|f'| orbit
+    averages of _ORBITS orbits stepped together by ``maps.orbit_step``, and
+    its standard error, their standard deviation over sqrt(_ORBITS).
+
+    Orbit j starts at frac(x0 + j _GOLDEN). The orbits burn in for
+    ``burn_in`` steps, then average in chunks of _CHUNK steps; after each
+    chunk the estimate stops once |lambda| > _Z se, else at n = ``iters``
+    steps per orbit. A superstable point (f' = 0) gives lambda = -inf with
+    se NaN. DivergenceError, naming the orbit's start and the step, when a
+    state it steps from leaves the closed domain, overflow included.
+    """
+    starts = (x0 + _GOLDEN * np.arange(_ORBITS)) % 1.0
+    x, y = starts, np.log(starts)
+    block, sums = np.empty((_CHUNK, _ORBITS)), np.zeros(_ORBITS)
+    done = n = 0
+    # a Ricker step past the float range gives inf, outside the domain; the
+    # log of a zero derivative is -inf, and the spread of -inf terms NaN
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while True:
+            burning = done < burn_in
+            rows = block[:min(_CHUNK, burn_in - done if burning else iters - n)]
+            for row in rows:
+                row[:] = x
+                x, y = maps.orbit_step(kind, r, x, y)
+            escaped = ~maps.in_domain(kind, rows)
+            if escaped.any():
+                i, j = divmod(int(escaped.argmax()), _ORBITS)
+                raise DivergenceError(f"{kind} orbit from x0={float(starts[j])!r} escaped [0, "
+                                      f"{maps.UPPER[kind]:g}] at step {done + i}, "
+                                      f"x={float(rows[i, j])!r}")
+            done += len(rows)
+            if burning:
+                continue
+            sums += maps.log_abs_derivative(kind, r, rows).sum(axis=0)
+            n += len(rows)
+            means = sums / n
+            lam = float(means.mean())
+            se = float(means.std(ddof=1)) / math.sqrt(_ORBITS)
+            if lam == -math.inf or abs(lam) > _Z * se or n == iters:
+                return lam, se, n
+
+
 def lyapunov(
     kind: MapKind,
     r: float,
@@ -51,18 +107,24 @@ def lyapunov(
     burn_in: int = DEFAULT_BURN_IN,
     iters: int = DEFAULT_ITERS,
 ) -> float:
-    """Orbit average of ln|f'(x_t)| after burn-in, from ``maps.orbit``.
+    """Lyapunov exponent of the deterministic map at growth rate r.
 
-    Returns -inf if the orbit hits a superstable point (derivative exactly 0);
-    raises DivergenceError if the orbit starts or lands outside the closed
+    Without x0, the ensemble estimate of ``_ensemble_exponent`` from
+    ``maps.DEFAULT_X0``, ``iters`` its cap of steps per orbit. With x0, the
+    average of ln|f'(x_t)| over ``iters`` steps of the single orbit from x0
+    after ``burn_in`` (``maps.orbit``).
+
+    Returns -inf if an orbit hits a superstable point (derivative exactly 0);
+    raises DivergenceError if an orbit starts or lands outside the closed
     domain (``maps.in_domain``), ValueError for a bad kind or r.
     """
     maps.check(kind, r)
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    x = maps.DEFAULT_X0[kind][0] if x0 is None else x0
-    y = math.log(x) if x > 0.0 else -math.inf
-    return maps.orbit(kind, r, x, y, burn_in, iters)[2] / iters
+    if x0 is None:
+        return _ensemble_exponent(kind, r, maps.DEFAULT_X0[kind][0], burn_in, iters)[0]
+    y = math.log(x0) if x0 > 0.0 else -math.inf
+    return maps.orbit(kind, r, x0, y, burn_in, iters)[2] / iters
 
 
 def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optional[tuple]:
@@ -90,9 +152,10 @@ def classify(kind: MapKind, r: float, iters: int = DEFAULT_ITERS) -> RegimeRepor
 
     Cycle first: an orbit that settles on a cycle of period p <= _P_MAX with
     exact exponent below -_LYAP_TOL is stable_fixed (p = 1) or periodic. Only
-    otherwise is the exponent the ``lyapunov`` orbit average over ``iters``
-    steps after DEFAULT_BURN_IN: chaotic above _LYAP_TOL, else marginal.
-    divergent when the orbit escapes from both ``maps.DEFAULT_X0`` starts.
+    otherwise is the exponent the ensemble estimate of ``_ensemble_exponent``
+    after DEFAULT_BURN_IN, ``iters`` its cap: chaotic when it exceeds both
+    _LYAP_TOL and _Z standard errors, else marginal. divergent when the
+    orbits escape from both ``maps.DEFAULT_X0`` starts.
     """
     maps.check(kind, r)
     if iters < 1:
@@ -105,11 +168,11 @@ def classify(kind: MapKind, r: float, iters: int = DEFAULT_ITERS) -> RegimeRepor
                 period, lam = cycle
                 regime = "stable_fixed" if period == 1 else "periodic"
                 return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, period=period)
-            lam = lyapunov(kind, r, x0=start, iters=iters)
+            lam, se, n = _ensemble_exponent(kind, r, start, DEFAULT_BURN_IN, iters)
         except DivergenceError:
             continue
-        regime = "chaotic" if lam > _LYAP_TOL else "marginal"
-        return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime)
+        regime = "chaotic" if lam > _LYAP_TOL and lam > _Z * se else "marginal"
+        return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, se=se, iters=n)
     return RegimeReport(kind=kind, r=r, lyapunov=float("nan"), regime="divergent")
 
 

@@ -196,6 +196,8 @@ def cmd_transition(args) -> int:
     print("TRANSITION" if report.transition_found else "NO TRANSITION")
     for label, regime in report.branches:
         suffix = f" period={regime.period}" if regime.period is not None else ""
+        if regime.se is not None:
+            suffix += f" se={_fmt(regime.se)} iters={regime.iters}"
         print(
             f"branch={label} r={_fmt(regime.r)} regime={regime.regime} "
             f"lyapunov={_fmt(regime.lyapunov)}{suffix}"

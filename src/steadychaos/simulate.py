@@ -155,7 +155,8 @@ def run_ensemble(
     from ``trajectory_rng(seed, b)``: first its start points when ``init`` is
     ``GammaParams`` (a float ``init`` is a point mass), then its noise, row by
     row. Trajectories that exit the admissible region are counted in
-    ``extinct_fraction`` and excluded from all moment estimates.
+    ``extinct_fraction`` and excluded from all moment estimates;
+    DivergenceError when fewer than two stay, since a mean needs two.
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
@@ -173,6 +174,11 @@ def run_ensemble(
 
     values = _iterate(map, x0, eps)
     exited = ~maps.in_open_domain(map.kind, values[:, -1])
+    survivors = n_traj - int(exited.sum())
+    if survivors < 2:
+        raise maps.DivergenceError(f"the {map.kind} ensemble at variance level {noise.variance!r} "
+                                   f"kept {survivors} of {n_traj} trajectories in the open domain "
+                                   f"over {t_max} steps; a mean needs 2")
     return EnsembleStats(
         np.arange(t_max + 1), *_moments(values[~exited]), n_traj, float(exited.mean())
     )
@@ -209,9 +215,10 @@ def stationarity_check(
     r = b.r + r_offset
     maps.check(map_kind, r)
     rng = trajectory_rng(seed, 0)
-    x0 = rng.gamma(k, b.theta, size=n_traj)
-    eps = noise_draw(NoiseSpec(var_eps, family), rng, size=n_traj)
-    x1 = maps.step(map_kind, r, x0) * eps
+    # X0 is freed once stepped, and the noise multiplies into the step in
+    # place: at the peak one n_traj array fewer is alive than in step(x0) * eps
+    x1 = maps.step(map_kind, r, rng.gamma(k, b.theta, size=n_traj))
+    x1 *= noise_draw(NoiseSpec(var_eps, family), rng, size=n_traj)
     mean, variance, se_mean, se_variance = _moments(x1)
     mean_z = float((mean - k * b.theta) / se_mean)
     var_z = float((variance - k * b.theta**2) / se_variance)

@@ -13,6 +13,7 @@ from steadychaos import (
     classify,
     lyapunov,
     maps,
+    solve,
     transition_report,
 )
 
@@ -232,6 +233,13 @@ class TestLyapunov:
     def test_superstable_returns_neg_inf(self):
         assert lyapunov("logistic", 2.0, x0=0.5, burn_in=0) == float("-inf")
 
+    @pytest.mark.parametrize("kind,r", [("logistic", 2.0), ("ricker", 1.0)])
+    def test_superstable_ensemble_stops_after_one_chunk(self, kind, r):
+        # every orbit lands on the superstable fixed point: a -inf term,
+        # which has no spread
+        lam, se, n = chaos._ensemble_exponent(kind, r, maps.DEFAULT_X0[kind][0], 1_000, 100_000)
+        assert lam == -math.inf and math.isnan(se) and n == chaos._CHUNK
+
     def test_divergence_raises(self):
         with pytest.raises(DivergenceError):
             lyapunov("logistic", 4.2)
@@ -271,6 +279,18 @@ class TestLyapunov:
         # f(1/r) = e^{r-1}/r exceeds the 1e6 cap at r = 20
         with pytest.raises(DivergenceError):
             lyapunov("ricker", 20.0)
+
+    @pytest.mark.parametrize("kind,r,message", [
+        ("logistic", 4.2, "logistic orbit from x0=0.6060679774997899 escaped [0, 1] at step 1, "
+                          "x=1.002748253426237"),
+        # e^{3000 (1 - 0.7)} is past the float range
+        ("ricker", 3000.0, "ricker orbit from x0=0.7 escaped [0, 1e+06] at step 1, x=inf"),
+    ])
+    def test_ensemble_escape_is_named(self, kind, r, message):
+        # orbit j of the ensemble starts at frac(x0 + j (sqrt(5) - 1)/2)
+        with pytest.raises(DivergenceError) as err:
+            lyapunov(kind, r)
+        assert str(err.value) == message
 
 
 class TestClassify:
@@ -334,8 +354,10 @@ class TestClassify:
         r = 9.146311040868133
         for x0 in maps.DEFAULT_X0["ricker"]:
             assert chaos._attracting_cycle("ricker", r, x0, chaos._P_MAX) is None
+        # the long-run exponent is about 0.049 (a 4e5-step orbit average)
         rep = classify("ricker", r)
-        assert rep.regime == "chaotic" and rep.lyapunov == 0.04460054175073858
+        assert rep.regime == "chaotic" and rep.se > 0.0
+        assert abs(rep.lyapunov - 0.049) <= 4.0 * rep.se
 
     @staticmethod
     def _orbit_average_rule(kind, r, iters):
@@ -343,7 +365,7 @@ class TestClassify:
         lyapunov orbit average decides, and a period counts only below
         -_LYAP_TOL, as the least p whose directly stepped orbit returns within
         1e-8 after the cycle-check transient."""
-        lam = lyapunov(kind, r, iters=iters)
+        lam = lyapunov(kind, r, x0=maps.DEFAULT_X0[kind][0], iters=iters)
         if lam > chaos._LYAP_TOL:
             return "chaotic", None
         x = maps.DEFAULT_X0[kind][0]
@@ -387,6 +409,44 @@ class TestClassify:
 
     def test_divergent(self):
         assert classify("logistic", 4.5, iters=5_000).regime == "divergent"
+
+    def test_logistic_r4_standard_error_covers_ln2(self):
+        rep = classify("logistic", 4.0)
+        assert rep.regime == "chaotic" and rep.se > 0.0
+        assert abs(rep.lyapunov - math.log(2.0)) <= 4.0 * rep.se
+
+    @pytest.mark.parametrize("k", [1.0, 2.0])
+    def test_standard_error_covers_a_long_orbit_average(self, k):
+        # the Ricker k = 1 and k = 2 roots against one 10^6-step orbit from 0.7
+        r = solve("ricker", k, 0.0).branches[0].r
+        rep = classify("ricker", r)
+        reference = lyapunov("ricker", r, x0=0.7, iters=1_000_000)
+        assert rep.regime == "chaotic" and rep.se > 0.0
+        assert abs(rep.lyapunov - reference) <= 4.0 * rep.se
+
+    def test_chaotic_stops_before_the_cap(self):
+        rep = classify("logistic", 3.7, iters=20_000)
+        assert rep.regime == "chaotic" and rep.iters < 20_000
+        assert rep.lyapunov > 4.0 * rep.se
+
+    def test_unsettled_sign_at_the_cap_is_marginal(self):
+        # at the k = 0.2 root the sign settles only after thousands of steps;
+        # the cap need not be a whole number of chunks
+        rep = classify("ricker", 9.146311040868133, iters=1_100)
+        assert rep.regime == "marginal" and rep.iters == 1_100
+        assert rep.lyapunov > 0.0 and rep.lyapunov <= 4.0 * rep.se
+
+    @pytest.mark.parametrize("kind,r", [("logistic", 3.7), ("ricker", 2.8)])
+    def test_lyapunov_without_x0_is_the_classify_estimate(self, kind, r):
+        assert lyapunov(kind, r) == classify(kind, r).lyapunov
+
+    def test_period_80_cycle(self):
+        # the k = 2.6 root closes only at period 80, beyond a window of 64
+        r = solve("ricker", 2.6, 0.0).branches[0].r
+        assert chaos._attracting_cycle("ricker", r, 0.7, 64) is None
+        rep = classify("ricker", r)
+        assert (rep.regime, rep.period, rep.se, rep.iters) == ("periodic", 80, None, None)
+        assert rep.lyapunov == pytest.approx(-0.034200126355, rel=0.0, abs=1e-12)
 
     def test_ricker_overflow_is_divergent(self):
         # at r = 3000 the orbits from both default starts overflow the float

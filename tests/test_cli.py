@@ -208,6 +208,18 @@ class TestSimulate:
         _, b, _ = run_cli(capsys, *self.BASE[:-1], "8")
         assert a != b
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_trajectory_exiting_is_3_and_named(self, capsys, fmt):
+        # every trajectory exits by step 3, so no step has a mean; this
+        # printed rows of nan (null in JSON) and exited 0
+        code, out, err = run_cli(
+            capsys, "simulate", "--map", "ricker", "--r", "40", "--x0", "0.7",
+            "--noise-var", "0.01", "--t-max", "3", "--n-traj", "10", "--format", fmt,
+        )
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: the ricker ensemble at variance level 0.01 kept 0 "
+                       "of 10 trajectories in the open domain over 3 steps; a mean needs 2\n")
+
 
 class TestStationarity:
     def test_pass_verdict(self, capsys):
@@ -425,18 +437,22 @@ class TestTransition:
         assert "branch=plus" in out and "branch=minus" in out
 
     # the benchmark's eleven transition inputs: (argv tail, verdict, and per
-    # branch its regime, period and, on a chaotic branch, the exact exponent
-    # printed, which is the orbit average over the default 1e5 iterations)
+    # branch its regime, period and, on a chaotic branch, the exact exponent,
+    # standard error and steps per orbit printed by the ensemble estimate)
     GOLDEN = [
-        (("ricker", "0.2", "0"), "TRANSITION", [("plus", "chaotic", None, "0.04460054175073858")]),
-        (("ricker", "0.5", "0"), "TRANSITION", [("plus", "chaotic", None, "0.46373426476968527")]),
-        (("ricker", "1", "0"), "TRANSITION", [("plus", "chaotic", None, "0.4687214419675762")]),
-        (("ricker", "2", "0"), "TRANSITION", [("plus", "chaotic", None, "0.35649958032146073")]),
+        (("ricker", "0.2", "0"), "TRANSITION", [("plus", "chaotic", None, (
+            "0.0570082994455481", "0.012261517760712508", "6200"))]),
+        (("ricker", "0.5", "0"), "TRANSITION", [("plus", "chaotic", None, (
+            "0.4620805808602547", "0.006470092713196533", "200"))]),
+        (("ricker", "1", "0"), "TRANSITION", [("plus", "chaotic", None, (
+            "0.46924346170871034", "0.0027324467020374424", "200"))]),
+        (("ricker", "2", "0"), "TRANSITION", [("plus", "chaotic", None, (
+            "0.35455182149010356", "0.0017126707889990073", "200"))]),
         (("ricker", "5", "0"), "NO TRANSITION", [("plus", "periodic", "2", None)]),
         (("ricker", "10", "0"), "NO TRANSITION", [("plus", "periodic", "2", None)]),
         (("ricker", "100", "0"), "NO TRANSITION", [("plus", "periodic", "2", None)]),
         (("ricker", "1", "0.05"), "TRANSITION", [
-            ("plus", "chaotic", None, "0.5186130524987924"),
+            ("plus", "chaotic", None, ("0.5185304115311861", "0.0024553292163898718", "200")),
             ("minus", "stable_fixed", "1", None),
         ]),
         (("logistic", "0.5", "0.05"), "NO TRANSITION",
@@ -456,15 +472,25 @@ class TestTransition:
         assert lines[0] == verdict
         rows = [dict(part.split("=", 1) for part in line.split()) for line in lines[1:]]
         assert len(rows) == len(branches)
-        for row, (label, regime, period, lam) in zip(rows, branches):
+        for row, (label, regime, period, estimate) in zip(rows, branches):
             assert (row["branch"], row["regime"], row.get("period")) == (label, regime, period)
-            if lam is not None:
-                assert row["lyapunov"] == lam
+            if estimate is not None:
+                assert (row["lyapunov"], row["se"], row["iters"]) == estimate
+            else:
+                # a cycle's multiplier is exact: no standard error
+                assert "se" not in row and "iters" not in row
             if regime == "stable_fixed":
                 # the exact fixed-point multiplier: f'(x*) = 2 - r logistic, 1 - r Ricker
                 r = float(row["r"])
                 want = math.log(abs(2.0 - r)) if kind == "logistic" else math.log(abs(1.0 - r))
                 assert float(row["lyapunov"]) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_period_80_branch(self, capsys):
+        # the k = 2.6 root settles on a cycle of period 80
+        code, out, _ = run_cli(capsys, "transition", "--map", "ricker", "--k", "2.6", "--var-eps", "0")
+        assert code == 0
+        assert out == ("NO TRANSITION\nbranch=plus r=2.697280516561611 regime=periodic "
+                       "lyapunov=-0.03420012635518399 period=80\n")
 
 
 class TestConverge:

@@ -207,6 +207,13 @@ class TestRunEnsemble:
         else:
             assert np.allclose(stats.mean, keep.mean(axis=0), rtol=1e-12, atol=0.0)
 
+    def test_fewer_than_two_survivors_is_named(self):
+        # 0.7 -> 1.1e5 -> 0: every trajectory exits, so no step has a mean
+        with pytest.raises(maps.DivergenceError) as info:
+            run_ensemble(MapSpec("ricker", 40.0), 0.7, NoiseSpec(0.01), t_max=3, n_traj=10, seed=SEED)
+        assert str(info.value) == ("the ricker ensemble at variance level 0.01 kept 0 of 10 "
+                                   "trajectories in the open domain over 3 steps; a mean needs 2")
+
     def test_rejects_small_ensemble(self):
         with pytest.raises(ValueError):
             run_ensemble(MapSpec("logistic", 2.0), 0.5, NoiseSpec(0.0), 5, 1, SEED)
