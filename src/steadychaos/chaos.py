@@ -24,10 +24,9 @@ DEFAULT_BURN_IN = 1_000
 DEFAULT_ITERS = 100_000
 _CYCLE_TRANSIENT = 10_000
 _CYCLE_TOL = 1e-8
-# the ensemble estimator: orbits stepped together, steps between stop tests,
-# and the z of the stop |lambda| > z se (the z of the stationarity test)
+# the ensemble estimator: orbits stepped together, and the z of the stop
+# |lambda| > z se (the z of the stationarity test)
 _ORBITS = 256
-_CHUNK = 200
 _Z = 4.0
 # orbit j starts at frac(x0 + j (sqrt(5) - 1)/2), spread over (0, 1); an even
 # grid would hold 1/2, which the logistic map at r = 4 sends onto 1 and then 0
@@ -57,31 +56,30 @@ class TransitionReport:
     solution: EquilibriumSolution
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: int) -> tuple:
     """(lambda, se, n): the Lyapunov exponent as the mean of the ln|f'| orbit
-    averages of _ORBITS orbits stepped together by ``maps.orbit_step``, and
-    its standard error, their standard deviation over sqrt(_ORBITS).
+    averages of _ORBITS orbits stepped together by ``maps.blocks``, and its
+    standard error, their standard deviation over sqrt(_ORBITS).
 
     Orbit j starts at frac(x0 + j _GOLDEN). The orbits burn in for
-    ``burn_in`` steps, then average in chunks of _CHUNK steps; after each
-    chunk the estimate stops once |lambda| > _Z se, else at n = ``iters``
+    ``burn_in`` steps, then average in blocks of ``maps.BLOCK`` steps; after
+    each block the estimate stops once |lambda| > _Z se, else at n = ``iters``
     steps per orbit. A superstable point (f' = 0) gives lambda = -inf with
     se NaN. DivergenceError, naming the orbit's start and the step, when a
     state it steps from leaves the closed domain, overflow included.
     """
     starts = (x0 + _GOLDEN * np.arange(_ORBITS)) % 1.0
-    x, y = starts, np.log(starts)
-    block, sums = np.empty((_CHUNK, _ORBITS)), np.zeros(_ORBITS)
+    sums = np.zeros(_ORBITS)
     done = n = 0
     # a Ricker step past the float range gives inf, outside the domain; the
     # log of a zero derivative is -inf, and the spread of -inf terms NaN
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            burning = done < burn_in
-            rows = block[:min(_CHUNK, burn_in - done if burning else iters - n)]
-            for row in rows:
-                row[:] = x
-                x, y = maps.orbit_step(kind, r, x, y)
+        for phase, rows in maps.blocks(kind, r, starts, (burn_in, iters)):
             escaped = ~maps.in_domain(kind, rows)
             if escaped.any():
                 i, j = divmod(int(escaped.argmax()), _ORBITS)
@@ -89,15 +87,16 @@ def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: 
                                       f"{maps.UPPER[kind]:g}] at step {done + i}, "
                                       f"x={float(rows[i, j])!r}")
             done += len(rows)
-            if burning:
+            if phase == 0:
                 continue
             sums += maps.log_abs_derivative(kind, r, rows).sum(axis=0)
             n += len(rows)
             means = sums / n
             lam = float(means.mean())
             se = float(means.std(ddof=1)) / math.sqrt(_ORBITS)
-            if lam == -math.inf or abs(lam) > _Z * se or n == iters:
-                return lam, se, n
+            if lam == -math.inf or abs(lam) > _Z * se:
+                break
+    return lam, se, n
 
 
 def lyapunov(
@@ -119,8 +118,8 @@ def lyapunov(
     domain (``maps.in_domain``), ValueError for a bad kind or r.
     """
     maps.check(kind, r)
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    _check_count("burn_in", burn_in, 0)
+    _check_count("iters", iters, 1)
     if x0 is None:
         return _ensemble_exponent(kind, r, maps.DEFAULT_X0[kind][0], burn_in, iters)[0]
     y = math.log(x0) if x0 > 0.0 else -math.inf
@@ -158,8 +157,7 @@ def classify(kind: MapKind, r: float, iters: int = DEFAULT_ITERS) -> RegimeRepor
     orbits escape from both ``maps.DEFAULT_X0`` starts.
     """
     maps.check(kind, r)
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    _check_count("iters", iters, 1)
     for start in maps.DEFAULT_X0[kind]:
         try:
             cycle = _attracting_cycle(kind, r, start, _P_MAX)
@@ -194,36 +192,37 @@ def bifurcation_scan(
 ) -> list[ScanRecord]:
     """Attractor samples and Lyapunov exponent on a uniform r grid.
 
-    Vectorized across the grid; escaped grid points yield NaN records. The
-    orbits step through ``maps.orbit_step``, so Ricker orbits near 0 do not
-    underflow.
+    One orbit per grid point, stepped together by ``maps.blocks``: ``burn_in``
+    steps, ``lyap_iters`` averaging ln|f'|, then ``samples_per_r`` samples. An
+    orbit is NaN from its first escape on, and so is its exponent.
     """
     maps.check(kind, r_min)
     maps.check(kind, r_max)
     if not (r_min < r_max):
         raise ValueError(f"need r_min < r_max, got {r_min}, {r_max}")
-    if n_r < 2:
-        raise ValueError(f"n_r must be >= 2, got {n_r}")
+    _check_count("n_r", n_r, 2)
+    _check_count("burn_in", burn_in, 0)
+    _check_count("lyap_iters", lyap_iters, 1)
+    _check_count("samples_per_r", samples_per_r, 0)
     rs = np.linspace(r_min, r_max, n_r)
-    x = np.full(n_r, maps.DEFAULT_X0[kind][0])
-    y = np.log(x)
+    lam, gone = np.zeros(n_r), np.zeros(n_r, dtype=bool)
+    samples, taken = np.empty((samples_per_r, n_r)), 0
+    start = np.full(n_r, maps.DEFAULT_X0[kind][0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(burn_in):
-            x, y = maps.orbit_step(kind, rs, x, y)
-            x[~maps.in_domain(kind, x)] = np.nan
-        lam = np.zeros(n_r)
-        for _ in range(lyap_iters):
-            lam += maps.log_abs_derivative(kind, rs, x)
-            x, y = maps.orbit_step(kind, rs, x, y)
-            x[~maps.in_domain(kind, x)] = np.nan
-        lam /= lyap_iters
-        samples = np.empty((n_r, samples_per_r))
-        for j in range(samples_per_r):
-            samples[:, j] = x
-            x, y = maps.orbit_step(kind, rs, x, y)
-            x[~maps.in_domain(kind, x)] = np.nan
+        for phase, rows in maps.blocks(kind, rs, start, (burn_in, lyap_iters, samples_per_r)):
+            escaped = np.logical_or.accumulate(~maps.in_domain(kind, rows), axis=0) | gone
+            rows[escaped] = np.nan
+            gone = escaped[-1]
+            if phase == 1:
+                # row by row, so the sum keeps the order of a sequential one
+                for terms in maps.log_abs_derivative(kind, rs, rows):
+                    lam += terms
+            elif phase == 2:
+                samples[taken:taken + len(rows)] = rows
+                taken += len(rows)
+    lam /= lyap_iters
     return [
-        ScanRecord(r=float(rs[i]), samples=samples[i].copy(), lyapunov=float(lam[i]))
+        ScanRecord(r=float(rs[i]), samples=samples[:, i].copy(), lyapunov=float(lam[i]))
         for i in range(n_r)
     ]
 

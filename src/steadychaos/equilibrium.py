@@ -9,6 +9,7 @@ scale theta and the feasibility bound on the noise variance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, get_args
 
@@ -17,6 +18,7 @@ import numpy as np
 from .maps import MapKind
 
 RICKER_DEFAULT_R_MAX = 10.0
+_MIN_NORMAL = sys.float_info.min
 
 NoiseFamily = Literal["gamma", "lognormal"]
 FAMILIES = get_args(NoiseFamily)
@@ -185,6 +187,9 @@ def _ricker_log_var(s: float, k: float) -> float:
     # cancellation of two O(k s) terms; above it that form loses 1 - e^{-s}.
     if s < 1.0:
         q = math.expm1(-s)
+        if q * q < _MIN_NORMAL:
+            # q^2 is subnormal and has lost digits; ln(1 - q^2) = -q^2 there
+            return 2.0 * s - ((k + 2.0) * q) * q
         return 2.0 * s + (k + 2.0) * math.log1p(-q * q)
     return (k + 2.0) * math.log1p(-math.expm1(-s)) - k * s
 

@@ -8,8 +8,9 @@ A deterministic orbit lives on the closed domain: 0 is the extinct fixed
 point of both maps and logistic 1 maps onto it, so an orbit that touches
 them is still an orbit to analyse. A stochastic trajectory lives on the open
 domain: reaching 0 or 1 is extinction and reaching the cap is divergence, so
-the trajectory stops there. NaN is outside both. Scalar deterministic orbits
-are stepped only here, by ``orbit`` and ``path``, which decide their escapes.
+the trajectory stops there. NaN is outside both. Every deterministic orbit
+is stepped here: one by ``orbit`` or ``path``, which decide its escapes, and a
+vector of them by ``blocks``, whose caller does.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ RICKER_X_CAP = 1e6
 
 # upper end of the domain; the lower end is 0 for both maps
 UPPER = {"logistic": 1.0, "ricker": RICKER_X_CAP}
+
+BLOCK = 200  # rows in one block of ``blocks``
 
 # Generic starting points away from fixed points, superstable preimages,
 # and poles; the second is the retry when an orbit from the first escapes.
@@ -95,6 +98,19 @@ def orbit_step(kind: MapKind, r, x, y):
         y = y + r * (1.0 - x)
         return _exp(y), y
     return step(kind, r, x), y
+
+
+def blocks(kind: MapKind, r, x, phases):
+    """Step the orbits x (r one or one per orbit) by ``orbit_step``, phases[i] times in
+    phase i; yield (i, the states stepped from) in reused blocks of at most BLOCK rows."""
+    y, block = np.log(x), np.empty((BLOCK, len(x)))
+    for phase, steps in enumerate(phases):
+        for start in range(0, steps, BLOCK):
+            rows = block[:min(BLOCK, steps - start)]
+            for row in rows:
+                row[:] = x
+                x, y = orbit_step(kind, r, x, y)
+            yield phase, rows
 
 
 def in_domain(kind: MapKind, x):

@@ -238,7 +238,7 @@ class TestLyapunov:
         # every orbit lands on the superstable fixed point: a -inf term,
         # which has no spread
         lam, se, n = chaos._ensemble_exponent(kind, r, maps.DEFAULT_X0[kind][0], 1_000, 100_000)
-        assert lam == -math.inf and math.isnan(se) and n == chaos._CHUNK
+        assert lam == -math.inf and math.isnan(se) and n == maps.BLOCK
 
     def test_divergence_raises(self):
         with pytest.raises(DivergenceError):
@@ -258,6 +258,11 @@ class TestLyapunov:
     def test_bad_growth_rate_rejected(self, r):
         with pytest.raises(ValueError):
             lyapunov("logistic", r)
+
+    @pytest.mark.parametrize("x0", [None, 0.3])
+    def test_negative_burn_in_rejected(self, x0):
+        with pytest.raises(ValueError, match="^burn_in must be >= 0, got -3$"):
+            lyapunov("logistic", 4.0, x0=x0, burn_in=-3)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -455,7 +460,58 @@ class TestClassify:
         assert report.regime == "divergent" and math.isnan(report.lyapunov)
 
 
+def _reference_scan(kind, r_min, r_max, n_r, samples_per_r, burn_in, lyap_iters):
+    """(rs, exponents, samples by grid point, escape step per point or -1),
+    stepping all points one step at a time: a point is NaN from the step on
+    which it leaves the domain, and ln|f'| is summed one step at a time."""
+    rs = np.linspace(r_min, r_max, n_r)
+    x = np.full(n_r, maps.DEFAULT_X0[kind][0])
+    y = np.log(x)
+    lam, samples, escape = np.zeros(n_r), np.empty((n_r, samples_per_r)), np.full(n_r, -1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(burn_in + lyap_iters + samples_per_r):
+            if t >= burn_in + lyap_iters:
+                samples[:, t - burn_in - lyap_iters] = x
+            elif t >= burn_in:
+                lam += maps.log_abs_derivative(kind, rs, x)
+            x, y = maps.orbit_step(kind, rs, x, y)
+            out = ~maps.in_domain(kind, x)
+            escape[out & (escape < 0)] = t + 1
+            x[out] = np.nan
+    return rs, lam / lyap_iters, samples, escape
+
+
 class TestBifurcationScan:
+    @pytest.mark.parametrize("kind,r_min,r_max,n_r,samples_per_r,burn_in,lyap_iters,escapes", [
+        # escapes in all three phases; several blocks in each Ricker phase
+        ("logistic", 3.9, 4.3, 81, 450, 3, 21, True),
+        ("ricker", 1.0, 40.0, 100, 450, 301, 457, True),
+        # superstable at r = 2, giving an exponent of -inf
+        ("logistic", 2.0, 4.0, 9, 5, 1_000, 5_000, False),
+        # Ricker orbits that dip below e^-745
+        ("ricker", 9.0, 9.2, 3, 201, 399, 1_001, False),
+    ])
+    def test_matches_per_step_reference(self, kind, r_min, r_max, n_r, samples_per_r, burn_in,
+                                        lyap_iters, escapes):
+        recs = bifurcation_scan(kind, r_min, r_max, n_r, samples_per_r, burn_in, lyap_iters)
+        rs, lam, samples, escape = _reference_scan(kind, r_min, r_max, n_r, samples_per_r,
+                                                   burn_in, lyap_iters)
+        assert [rec.r for rec in recs] == list(rs)
+        assert np.array_equal([rec.lyapunov for rec in recs], lam, equal_nan=True)
+        assert np.array_equal([rec.samples for rec in recs], samples, equal_nan=True)
+        # the phase of each escape: burn-in 0, averaging 1, sampling 2
+        phases = np.searchsorted([burn_in, burn_in + lyap_iters], escape[escape >= 0], "right")
+        assert set(phases) == ({0, 1, 2} if escapes else set())
+        # f'(x*) = 0 at the fixed point x* = 1/2 of logistic r = 2 and x* = 1 of Ricker r = 1
+        assert (lam[0] == -math.inf) == ((kind, r_min) in {("logistic", 2.0), ("ricker", 1.0)})
+
+    @pytest.mark.parametrize("arg,value", [
+        ("burn_in", -1), ("lyap_iters", 0), ("samples_per_r", -1),
+    ])
+    def test_rejects_bad_orbit_length(self, arg, value):
+        with pytest.raises(ValueError, match=f"^{arg} must be >= "):
+            bifurcation_scan("logistic", 2.0, 3.0, 10, **{arg: value})
+
     def test_shape_and_grid(self):
         recs = bifurcation_scan("logistic", 2.5, 4.0, 16, samples_per_r=10, lyap_iters=2_000)
         assert len(recs) == 16

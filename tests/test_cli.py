@@ -252,6 +252,13 @@ class TestBifurcate:
         assert lines[0] == "r,x_sample,lyapunov"
         assert len(lines) == 1 + 4 * 3
 
+    def test_negative_samples_is_usage(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bifurcate", "--map", "logistic", "--r-min", "2.5", "--r-max", "4.0",
+            "--samples", "-1",
+        )
+        assert (code, out, err) == (1, "", "error: samples_per_r must be >= 0, got -1\n")
+
 
 class TestOutputText:
     """The tabular text, computed here from the library's records: ``repr`` of
@@ -403,6 +410,13 @@ class TestLyapunov:
         code, out, err = run_cli(capsys, "lyapunov", "--map", "logistic", "--r", r)
         assert code == 1 and out == ""
         assert "growth rate" in err
+
+    @pytest.mark.parametrize("x0", [[], ["--x0", "0.3"]])
+    def test_negative_burn_in_is_usage(self, capsys, x0):
+        code, out, err = run_cli(
+            capsys, "lyapunov", "--map", "logistic", "--r", "4", "--burn-in", "-3", *x0
+        )
+        assert (code, out, err) == (1, "", "error: burn_in must be >= 0, got -3\n")
 
     @pytest.mark.parametrize("x0", ["nan", "1.5"])
     def test_start_outside_domain_is_3(self, capsys, x0):

@@ -332,6 +332,22 @@ class TestRickerOracles:
                 for b, (_, r) in zip(sol.branches, want):
                     assert b.r == pytest.approx(float(r), rel=1e-13)
 
+    @pytest.mark.parametrize("k", (1e155, 1e160, 1e162, 1e163, 1e200, 1e300))
+    def test_huge_k_root_and_bound_against_mpmath(self, k):
+        # near the root s ~ 2/k, so q^2 = (1 - e^{-s})^2 is subnormal; the
+        # log noise level cancels terms of size 1 down to 1/k, hence 2 log10(k)
+        # digits more
+        sol = solve("ricker", k, 0.0)
+        with mpmath.workdps(int(2 * math.log10(k)) + 30):
+            km = mpmath.mpf(k)
+            log_var = lambda s: (km + 2) * mpmath.log(2 - mpmath.exp(-s)) - km * s
+            s = mpmath.findroot(log_var, (1 / km, 3 / km), solver="illinois")
+            root = float((km + 1) * s)
+            v_max = float(mpmath.expm1(log_var(mpmath.log1p(1 / km))))
+        [branch] = sol.branches
+        assert abs(branch.r - root) <= 2 * math.ulp(root)
+        assert sol.bound_var == pytest.approx(v_max, rel=1e-15)
+
     def test_at_bound_both_branches_are_the_tangency(self):
         # v = v_max(1) = 11/16: the double root r* = 2 ln 2
         sol = ricker_solve(1.0, 11.0 / 16.0)

@@ -78,6 +78,13 @@ def test_only_maps_exponentiates_an_orbit(module):
     assert "exp" not in called_names(module)
 
 
+@pytest.mark.parametrize("module", ["chaos", "mean_dynamics"])
+def test_only_maps_steps_an_orbit(module):
+    """Orbits are stepped in ``maps`` (``orbit``, ``path``, ``blocks``): analysis
+    and mean dynamics call no ``orbit_step``."""
+    assert "orbit_step" not in called_names(module)
+
+
 def test_divergence_error_is_defined_once_in_maps():
     defined_in = [
         module for module in MODULES
