@@ -70,8 +70,8 @@ def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: 
     ``burn_in`` steps, then average in blocks of ``maps.BLOCK`` steps; after
     each block the estimate stops once |lambda| > _Z se, else at n = ``iters``
     steps per orbit. A superstable point (f' = 0) gives lambda = -inf with
-    se NaN. DivergenceError, naming the orbit's start and the step, when a
-    state it steps from leaves the closed domain, overflow included.
+    se NaN. ``maps.escaped`` when a state it steps from leaves the closed
+    domain, overflow included.
     """
     starts = (x0 + _GOLDEN * np.arange(_ORBITS)) % 1.0
     sums = np.zeros(_ORBITS)
@@ -83,9 +83,7 @@ def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: 
             escaped = ~maps.in_domain(kind, rows)
             if escaped.any():
                 i, j = divmod(int(escaped.argmax()), _ORBITS)
-                raise DivergenceError(f"{kind} orbit from x0={float(starts[j])!r} escaped [0, "
-                                      f"{maps.UPPER[kind]:g}] at step {done + i}, "
-                                      f"x={float(rows[i, j])!r}")
+                raise maps.escaped(kind, float(starts[j]), done + i, float(rows[i, j]))
             done += len(rows)
             if phase == 0:
                 continue
@@ -99,31 +97,16 @@ def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: 
     return lam, se, n
 
 
-def lyapunov(
-    kind: MapKind,
-    r: float,
-    x0: Optional[float] = None,
-    burn_in: int = DEFAULT_BURN_IN,
-    iters: int = DEFAULT_ITERS,
-) -> float:
-    """Lyapunov exponent of the deterministic map at growth rate r.
-
-    Without x0, the ensemble estimate of ``_ensemble_exponent`` from
-    ``maps.DEFAULT_X0``, ``iters`` its cap of steps per orbit. With x0, the
-    average of ln|f'(x_t)| over ``iters`` steps of the single orbit from x0
-    after ``burn_in`` (``maps.orbit``).
-
-    Returns -inf if an orbit hits a superstable point (derivative exactly 0);
-    raises DivergenceError if an orbit starts or lands outside the closed
-    domain (``maps.in_domain``), ValueError for a bad kind or r.
-    """
+def lyapunov(kind: MapKind, r: float, burn_in: int = DEFAULT_BURN_IN, iters: int = DEFAULT_ITERS) -> float:
+    """Lyapunov exponent of the deterministic map at growth rate r: the ensemble
+    estimate of ``_ensemble_exponent`` from ``maps.DEFAULT_X0``, ``iters`` its
+    cap of steps per orbit; -inf if an orbit hits a superstable point (f' = 0).
+    DivergenceError if an orbit leaves the closed domain, ValueError for a bad
+    kind or r."""
     maps.check(kind, r)
     _check_count("burn_in", burn_in, 0)
     _check_count("iters", iters, 1)
-    if x0 is None:
-        return _ensemble_exponent(kind, r, maps.DEFAULT_X0[kind][0], burn_in, iters)[0]
-    y = math.log(x0) if x0 > 0.0 else -math.inf
-    return maps.orbit(kind, r, x0, y, burn_in, iters)[2] / iters
+    return _ensemble_exponent(kind, r, maps.DEFAULT_X0[kind][0], burn_in, iters)[0]
 
 
 def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optional[tuple]:
@@ -132,10 +115,10 @@ def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optiona
     steps, or None; DivergenceError on escape. Closure is in x (logistic) or
     y = ln x (Ricker, whose x underflows to 0); -inf means superstable."""
     y = math.log(x0) if x0 > 0.0 else -math.inf
-    x, y, _ = maps.orbit(kind, r, x0, y, _CYCLE_TRANSIENT)
+    x, y = maps.orbit(kind, r, x0, y, _CYCLE_TRANSIENT)
     xs, zs = [x], [y if kind == "ricker" else x]
     for _ in range(2 * p_max):
-        x, y, _ = maps.orbit(kind, r, x, y, 1)
+        x, y = maps.orbit(kind, r, x, y, 1)
         xs.append(x)
         zs.append(y if kind == "ricker" else x)
     for p in range(1, p_max + 1):

@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 usage/parse error (including a growth rate r that
 is not finite and > 0), 2 infeasible domain input (noise variance beyond the
 equilibrium bound), 3 numerical failure (roots only beyond r_max, a Ricker
 theta = e^(r/(k+1))/r beyond the float range, divergence, including a start
-point outside the map's domain).
+point outside the map's domain, a stationarity sample with no spread).
 
 ``main(argv)`` may be called repeatedly in one process, as
 ``scripts/reproduce_figures.py`` does: it builds its parser on the first call
@@ -186,7 +186,7 @@ def cmd_bifurcate(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    lam = chaos.lyapunov(args.map, args.r, x0=args.x0, burn_in=args.burn_in, iters=args.iters)
+    lam = chaos.lyapunov(args.map, args.r, burn_in=args.burn_in, iters=args.iters)
     print(f"lyapunov={_fmt(lam)}")
     return EXIT_OK
 
@@ -306,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lyapunov", help="Lyapunov exponent of the deterministic map")
     _add_map_flag(p)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--x0", type=float, default=None)
     p.add_argument("--burn-in", type=int, default=chaos.DEFAULT_BURN_IN)
     p.add_argument("--iters", type=int, default=chaos.DEFAULT_ITERS)
     p.set_defaults(handler=cmd_lyapunov)
@@ -350,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc} (bound={_fmt(exc.bound)})", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NoRootError, maps.DivergenceError, OverflowError) as exc:
+    except (NoRootError, maps.DivergenceError, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

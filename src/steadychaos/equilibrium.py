@@ -108,8 +108,8 @@ def logistic_quadratic_residual(r: float, k: float, var_eps: float) -> float:
 
 
 def logistic_theta(r: float, k: float) -> float:
-    """Scale implied by mean stationarity: theta = (r-1)/(r(1+k))."""
-    return (r - 1.0) / (r * (1.0 + k))
+    """Scale implied by mean stationarity: theta = (r-1)/(r(1+k)), scaled by 1/4 (exact) not to overflow."""
+    return ((r - 1.0) / 4.0) / (r * ((1.0 + k) / 4.0))
 
 
 def logistic_solve(k: float, var_eps: float) -> EquilibriumSolution:
@@ -128,7 +128,8 @@ def logistic_solve(k: float, var_eps: float) -> EquilibriumSolution:
     half_width = (k + 1.0) * math.sqrt(disc)
     branches = []
     for label, sign in (("plus", 1.0), ("minus", -1.0)):
-        r = (2.0 * k + 4.0 + sign * half_width) / (k + 3.0)
+        # (2k + 4 +- half_width)/(k + 3), scaled by 1/4 (exact) so 2k + 4 cannot overflow
+        r = 4.0 * ((0.5 * (k + 2.0) + sign * (0.25 * half_width)) / (k + 3.0))
         degenerate = abs(r - 1.0) <= 1e-10
         theta = 0.0 if degenerate else logistic_theta(r, k)
         branches.append(Branch(r=r, theta=theta, label=label, degenerate=degenerate))

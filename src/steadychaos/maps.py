@@ -8,9 +8,9 @@ A deterministic orbit lives on the closed domain: 0 is the extinct fixed
 point of both maps and logistic 1 maps onto it, so an orbit that touches
 them is still an orbit to analyse. A stochastic trajectory lives on the open
 domain: reaching 0 or 1 is extinction and reaching the cap is divergence, so
-the trajectory stops there. NaN is outside both. Every deterministic orbit
-is stepped here: one by ``orbit`` or ``path``, which decide its escapes, and a
-vector of them by ``blocks``, whose caller does.
+the trajectory stops there. NaN is outside both. Every deterministic orbit is
+stepped here: ensembles, scans and recorded orbits by ``blocks``, whose caller
+checks the domain, and only the cycle check's single orbit by ``orbit``.
 """
 
 from __future__ import annotations
@@ -123,75 +123,31 @@ def in_open_domain(kind: MapKind, x):
     return (0.0 < x) & (x < UPPER[kind])
 
 
-def _escaped(kind: MapKind, x: float) -> DivergenceError:
-    return DivergenceError(f"{kind} orbit escaped [0, {UPPER[kind]:g}] at x={x!r}")
+def escaped(kind: MapKind, x0: float, t: int, x: float) -> DivergenceError:
+    """The orbit from x0 is at x outside the closed domain at step t (x = inf if the step overflowed)."""
+    return DivergenceError(f"{kind} orbit from x0={x0!r} escaped [0, {UPPER[kind]:g}] at step {t}, x={x!r}")
 
 
-def orbit(kind: MapKind, r: float, x: float, y: float, settle: int, average: int = 0):
-    """Step the orbit from (x, y = ln x) ``settle`` times, then ``average``
-    times adding ln|f'(x_t)| before each step; returns (x, y, the sum), the sum
-    -inf at once on a superstable point. The steps are ``orbit_step``'s.
-    DivergenceError when the start or a step (overflow included) leaves the
-    closed domain."""
-    hi = UPPER[kind]
+def orbit(kind: MapKind, r: float, x: float, y: float, steps: int):
+    """(x, y) after ``steps`` steps of ``orbit_step`` from (x, y = ln x); ``escaped``
+    when the start or a step (overflow included) leaves the closed domain."""
+    hi, x0 = UPPER[kind], x
     if not 0.0 <= x <= hi:
-        raise _escaped(kind, x)
-    total = 0.0
-    # orbit_step, log_abs_derivative and in_domain written out for floats on
-    # this sequential hot path; settling takes no logs
+        raise escaped(kind, x0, 0, x)
+    # orbit_step and in_domain written out for floats: through them settling takes 3x as long
     try:
         if kind == "logistic":
-            for _ in range(settle):
+            for t in range(1, steps + 1):
                 x = r * x * (1.0 - x)
                 if not 0.0 <= x <= hi:
-                    raise _escaped(kind, x)
-            for _ in range(average):
-                d = r * (1.0 - 2.0 * x)
-                if d == 0.0:
-                    return x, y, -math.inf
-                total += math.log(abs(d))
-                x = r * x * (1.0 - x)
-                if not 0.0 <= x <= hi:
-                    raise _escaped(kind, x)
-            return x, y, total
-        for _ in range(settle):
+                    raise escaped(kind, x0, t, x)
+            return x, y
+        for t in range(1, steps + 1):
             y += r * (1.0 - x)
             x = math.exp(y)
             if not 0.0 <= x <= hi:
-                raise _escaped(kind, x)
-        for _ in range(average):
-            d = 1.0 - r * x
-            if d == 0.0:
-                return x, y, -math.inf
-            g = r * (1.0 - x)
-            total += g + math.log(abs(d))
-            y += g
-            x = math.exp(y)
-            if not 0.0 <= x <= hi:
-                raise _escaped(kind, x)
+                raise escaped(kind, x0, t, x)
     except OverflowError:
-        # e^y past the float range lands beyond the cap before the domain test
-        raise DivergenceError(f"{kind} orbit escaped [0, {hi:g}]: the step from "
-                              f"x={x!r} overflows the float range at r={r!r}") from None
-    return x, y, total
-
-
-def path(kind: MapKind, r: float, x0: float, steps: int) -> np.ndarray:
-    """x_0 .. x_steps of the deterministic orbit, stepped by ``step`` as an
-    ensemble is (no y = ln x); DivergenceError naming the step (0 for the
-    start) at which it leaves the closed domain or overflows the float range."""
-    check(kind, r)
-    out = np.empty(steps + 1)
-    x = x0
-    where = f"the deterministic {kind} orbit from x0={x0!r}"
-    try:
-        for t in range(steps + 1):
-            if t:
-                x = step(kind, r, x)
-            out[t] = x
-            if not in_domain(kind, x):
-                raise DivergenceError(f"{where} escaped [0, {UPPER[kind]:g}] at step {t}, x={x!r}")
-    except OverflowError:
-        raise DivergenceError(f"{where} overflows the float range at step {t}, "
-                              f"from x={x!r} at r={r!r}") from None
-    return out
+        # e^y past the float range lands beyond the cap
+        raise escaped(kind, x0, t, math.inf) from None
+    return x, y

@@ -16,7 +16,7 @@ from . import maps
 from .equilibrium import NoiseSpec
 from .gamma_core import fit_from_moments
 from .maps import MapKind
-from .simulate import MapSpec, run_ensemble
+from .simulate import MapSpec, noiseless, run_ensemble
 
 _Y0 = {"logistic": 0.3, "ricker": 0.7}
 
@@ -39,9 +39,21 @@ def mean_update(kind: MapKind, r: float, state: MeanState) -> float:
 
 
 def deterministic_orbit(kind: MapKind, r: float, x0: float, t_max: int) -> np.ndarray:
-    """x_0 .. x_t_max of the deterministic map (``maps.path``), the limit of the
-    ensemble mean; DivergenceError once the orbit leaves the closed domain."""
-    return maps.path(kind, r, x0, t_max)
+    """x_0 .. x_t_max of the deterministic map, the limit of the ensemble mean,
+    stepped by ``maps.blocks`` (Ricker in ln x); ``maps.escaped`` at the first
+    step (0 for the start) that leaves the closed domain, overflow included."""
+    maps.check(kind, r)
+    out, t = np.empty(t_max + 1), 0
+    # a start at or below 0 and the steps from an escape may warn; escapes are caught below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _, rows in maps.blocks(kind, r, np.array([x0], dtype=float), (t_max + 1,)):
+            out[t:t + len(rows)] = rows[:, 0]
+            t += len(rows)
+    escaped = ~maps.in_domain(kind, out)
+    if escaped.any():
+        t = int(escaped.argmax())
+        raise maps.escaped(kind, x0, t, float(out[t]))
+    return out
 
 
 def convergence_sweep(
@@ -57,8 +69,9 @@ def convergence_sweep(
 
     Each level v initializes the ensemble from a gamma distribution with mean
     y0 (0.3 logistic, 0.7 Ricker) and variance v, with noise variance v.
-    Level 0 is exact. DivergenceError when the orbit escapes, or (from
-    ``run_ensemble``) fewer than two trajectories of a level stay in the domain.
+    A ``noiseless`` level (0, or so small that 1/v overflows) is exact: the
+    point mass y0 without noise is the orbit itself. DivergenceError when the orbit escapes, or (from ``run_ensemble``) fewer
+    than two trajectories of a level stay in the domain.
     """
     levels = [float(v) for v in ladder]
     for a, b in zip(levels, levels[1:]):
@@ -70,8 +83,8 @@ def convergence_sweep(
     det = deterministic_orbit(kind, r, y0, t_max)
     out = []
     for v in levels:
-        if v == 0.0:
-            out.append((0.0, 0.0))
+        if noiseless(v):
+            out.append((v, 0.0))
             continue
         stats = run_ensemble(
             MapSpec(kind, r),

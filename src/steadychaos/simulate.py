@@ -59,21 +59,29 @@ class StationarityReport:
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream ``index`` under master ``seed``; ``run_ensemble``
-    draws block ``index`` of its trajectories from it."""
-    if seed < 0 or index < 0:
-        raise ValueError("seed and index must be nonnegative")
+    """Counter-based stream ``index`` under master ``seed``, the high 64 bits of
+    the 128-bit Philox key; ``run_ensemble`` draws block ``index`` of its
+    trajectories from it."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be >= 0 and < 2**64, got {seed}")
+    if index < 0:
+        raise ValueError(f"stream index must be >= 0, got {index}")
     return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+
+
+def noiseless(variance: float) -> bool:
+    """Noise exactly 1: variance 0, or below about 5.6e-309, where the gamma shape 1/v overflows."""
+    return variance == 0.0 or 1.0 / variance == math.inf
 
 
 def noise_draw(spec: NoiseSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` mean-1 multiplicative noise variates.
 
     gamma family: shape 1/v, scale v; lognormal family: log-mean -ln(1+v)/2,
-    log-variance ln(1+v). variance=0 returns exactly 1.
+    log-variance ln(1+v). ``noiseless`` variances return exactly 1.
     """
     v = spec.variance
-    if v == 0.0:
+    if noiseless(v):
         return np.ones(size)
     if spec.family == "gamma":
         return rng.gamma(1.0 / v, v, size=size)
@@ -206,6 +214,7 @@ def stationarity_check(
     Samples X0 ~ Gamma(k, theta_branch), applies one stochastic step, and
     z-scores the sample mean against k*theta and the sample variance against
     k*theta^2. ``r_offset`` perturbs the solved growth rate (negative control).
+    FloatingPointError when the sample has no spread, as at extreme k.
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
@@ -220,6 +229,9 @@ def stationarity_check(
     x1 = maps.step(map_kind, r, rng.gamma(k, b.theta, size=n_traj))
     x1 *= noise_draw(NoiseSpec(var_eps, family), rng, size=n_traj)
     mean, variance, se_mean, se_variance = _moments(x1)
+    if not (se_mean > 0.0 and se_variance > 0.0):
+        raise FloatingPointError(f"the one-step sample of n_traj={n_traj} has no spread, so the z-test "
+                                 f"is undefined: mean {float(mean)!r}, k*theta {k * b.theta!r}")
     mean_z = float((mean - k * b.theta) / se_mean)
     var_z = float((variance - k * b.theta**2) / se_variance)
     return StationarityReport(

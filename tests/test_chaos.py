@@ -11,11 +11,39 @@ from steadychaos import (
     bifurcation_scan,
     chaos,
     classify,
+    deterministic_orbit,
     lyapunov,
     maps,
     solve,
     transition_report,
 )
+
+
+def _orbit_average(kind, r, x0, burn_in, iters):
+    """(1/iters) sum of ln|f'(x_t)| over iters steps of the single orbit from
+    x0 after burn_in, -inf at a zero derivative: the reference the ensemble
+    estimate is held to, in plain floats. Ricker steps y = ln x, so that an
+    orbit near 0 keeps its digits, and ln|f'| = r(1 - x) + ln|1 - r x|."""
+    x, y, total = x0, math.log(x0), 0.0
+    for t in range(burn_in + iters):
+        if kind == "logistic":
+            if t >= burn_in:
+                d = r * (1.0 - 2.0 * x)
+                if d == 0.0:
+                    return -math.inf
+                total += math.log(abs(d))
+            x = r * x * (1.0 - x)
+        else:
+            g = r * (1.0 - x)
+            if t >= burn_in:
+                d = 1.0 - r * x
+                if d == 0.0:
+                    return -math.inf
+                total += g + math.log(abs(d))
+            y += g
+            x = math.exp(y)
+        assert 0.0 <= x <= maps.UPPER[kind], (kind, r, t)
+    return total / iters
 
 
 class TestDerivative:
@@ -75,55 +103,34 @@ class TestSharedKernel:
             assert abs(maps.second_derivative(kind, r, x) - exact) <= tol, x
 
     @staticmethod
-    def _kernel_orbit(kind, r, x0, settle, average):
-        """(x, y, sum of ln|f'|) along the maps.orbit_step orbit, the kernel
-        maps.orbit is written out from; the sum is -inf from a zero derivative
-        on, and None means the orbit escaped or its step overflowed. Logistic
-        terms are ln|maps.derivative|, Ricker terms maps.log_abs_derivative."""
+    def _kernel_orbit(kind, r, x0, steps):
+        """("orbit", x, y) after ``steps`` steps of maps.orbit_step, the kernel
+        maps.orbit is written out from, or ("escaped", step, x) at the first
+        state outside the closed domain, x = inf where the step overflowed."""
         x, y = x0, (math.log(x0) if x0 > 0.0 else -math.inf)
-        if not maps.in_domain(kind, x):
-            return None
-        total = 0.0
-        for t in range(settle + average):
-            if t >= settle:
-                if kind == "logistic":
-                    d = maps.derivative(kind, r, x)
-                    term = math.log(abs(d)) if d != 0.0 else -math.inf
-                else:
-                    with np.errstate(divide="ignore"):
-                        term = float(maps.log_abs_derivative(kind, r, x))
-                if term == -math.inf:
-                    return x, y, -math.inf
-                total += term
-            try:
-                x, y = maps.orbit_step(kind, r, x, y)
-            except OverflowError:
-                return None
+        for t in range(steps + 1):
+            if t:
+                try:
+                    x, y = maps.orbit_step(kind, r, x, y)
+                except OverflowError:
+                    return "escaped", t, math.inf
             if not maps.in_domain(kind, x):
-                return None
-        return x, y, total
+                return "escaped", t, x
+        return "orbit", x, y
 
-    def _check_orbit(self, kind, r, x0, burn_in, iters, rel):
-        """maps.orbit in settling alone and in both phases, and lyapunov on
-        it, against the kernel: the same orbit floats, and sums within
-        ``rel`` (np.log in the kernel and math.log in the Ricker loop differ
-        by an ulp on a few inputs)."""
+    def _check_orbit(self, kind, r, x0, burn_in, iters):
+        """maps.orbit against the kernel: the same floats after burn_in +
+        iters steps, taken at once or as burn_in steps and then iters more
+        (as the cycle check does); else the escape, named as the kernel's."""
         y0 = math.log(x0) if x0 > 0.0 else -math.inf
-        for settle, average in [(burn_in + iters, 0), (burn_in, iters)]:
-            want = self._kernel_orbit(kind, r, x0, settle, average)
-            if want is None:
-                with pytest.raises(DivergenceError):
-                    maps.orbit(kind, r, x0, y0, settle, average)
-                continue
-            x, y, total = maps.orbit(kind, r, x0, y0, settle, average)
-            assert (x, y) == want[:2]
-            assert total == pytest.approx(want[2], rel=rel, abs=0.0)
-        if want is None:
-            with pytest.raises(DivergenceError):
-                lyapunov(kind, r, x0=x0, burn_in=burn_in, iters=iters)
-        else:
-            lam = lyapunov(kind, r, x0=x0, burn_in=burn_in, iters=iters)
-            assert lam == pytest.approx(want[2] / iters, rel=rel, abs=0.0)
+        outcome, *want = self._kernel_orbit(kind, r, x0, burn_in + iters)
+        if outcome == "escaped":
+            with pytest.raises(DivergenceError) as err:
+                maps.orbit(kind, r, x0, y0, burn_in + iters)
+            assert str(err.value) == str(maps.escaped(kind, x0, *want))
+            return
+        assert maps.orbit(kind, r, x0, y0, burn_in + iters) == tuple(want)
+        assert maps.orbit(kind, r, *maps.orbit(kind, r, x0, y0, burn_in), iters) == tuple(want)
 
     @given(
         r=st.floats(min_value=2.9, max_value=4.5),
@@ -134,7 +141,7 @@ class TestSharedKernel:
     @example(r=2.0, x0=0.5, burn_in=0, iters=5)  # superstable at once
     @settings(max_examples=200)
     def test_logistic_lyapunov_loop_is_the_kernel(self, r, x0, burn_in, iters):
-        self._check_orbit("logistic", r, x0, burn_in, iters, rel=0.0)
+        self._check_orbit("logistic", r, x0, burn_in, iters)
 
     @given(
         r=st.floats(min_value=1.5, max_value=3.0),
@@ -149,7 +156,7 @@ class TestSharedKernel:
     @example(r=750.0, x0=1e-17, burn_in=5, iters=5)
     @settings(max_examples=200)
     def test_ricker_lyapunov_loop_is_the_kernel(self, r, x0, burn_in, iters):
-        self._check_orbit("ricker", r, x0, burn_in, iters, rel=1e-12)
+        self._check_orbit("ricker", r, x0, burn_in, iters)
 
     @staticmethod
     def _kernel_cycle(kind, r, x0, p_max):
@@ -225,13 +232,15 @@ class TestLyapunov:
 
     @pytest.mark.parametrize("burn_in", [0, 5])
     def test_ricker_overflow_is_a_named_escape(self, burn_in):
-        # the overflow falls in the burn-in or, without one, in the exponent loop
-        with pytest.raises(DivergenceError, match=r"ricker orbit escaped \[0, 1e\+06\]: the step "
-                           r"from x=1e-17 overflows the float range at r=750\.0"):
-            lyapunov("ricker", 750.0, x0=1e-17, burn_in=burn_in)
+        # the first step from 0.7 needs e^900; it falls in the burn-in or,
+        # without one, in the averaging blocks
+        with pytest.raises(DivergenceError) as err:
+            lyapunov("ricker", 3000.0, burn_in=burn_in)
+        assert str(err.value) == "ricker orbit from x0=0.7 escaped [0, 1e+06] at step 1, x=inf"
 
     def test_superstable_returns_neg_inf(self):
-        assert lyapunov("logistic", 2.0, x0=0.5, burn_in=0) == float("-inf")
+        # every orbit reaches the superstable fixed point 1/2 within a block
+        assert lyapunov("logistic", 2.0, burn_in=0) == float("-inf")
 
     @pytest.mark.parametrize("kind,r", [("logistic", 2.0), ("ricker", 1.0)])
     def test_superstable_ensemble_stops_after_one_chunk(self, kind, r):
@@ -259,26 +268,39 @@ class TestLyapunov:
         with pytest.raises(ValueError):
             lyapunov("logistic", r)
 
-    @pytest.mark.parametrize("x0", [None, 0.3])
-    def test_negative_burn_in_rejected(self, x0):
+    def test_negative_burn_in_rejected(self):
         with pytest.raises(ValueError, match="^burn_in must be >= 0, got -3$"):
-            lyapunov("logistic", 4.0, x0=x0, burn_in=-3)
+            lyapunov("logistic", 4.0, burn_in=-3)
+
+    def test_no_start_option(self):
+        # one estimator: the ensemble from maps.DEFAULT_X0
+        with pytest.raises(TypeError):
+            lyapunov("logistic", 4.0, x0=0.3)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            lyapunov("henon", 1.5, x0=0.7)
+            lyapunov("henon", 1.5)
         with pytest.raises(ValueError):
             classify("henon", 1.5)
 
     def test_domain_is_closed(self):
-        # logistic 1 maps onto the extinct fixed point 0, where f'(0) = r
-        assert lyapunov("logistic", 2.0, x0=1.0, burn_in=1, iters=10) == math.log(2.0)
-        assert lyapunov("ricker", 2.0, x0=0.0, burn_in=0, iters=10) == 2.0
+        # logistic 1 maps onto the extinct fixed point 0, where f'(0) = r, and
+        # Ricker stays at 0; neither orbit escapes
+        assert chaos._attracting_cycle("logistic", 2.0, 1.0, 1) == (1, math.log(2.0))
+        orbit = deterministic_orbit("logistic", 2.0, 1.0, 10)
+        assert orbit.tolist() == [1.0] + [0.0] * 10
+        assert maps.log_abs_derivative("logistic", 2.0, orbit).mean() == math.log(2.0)
+        orbit = deterministic_orbit("ricker", 2.0, 0.0, 10)
+        assert orbit.tolist() == [0.0] * 11
+        assert maps.log_abs_derivative("ricker", 2.0, orbit).mean() == 2.0
 
     @pytest.mark.parametrize("kind", ["logistic", "ricker"])
     def test_nan_start_is_outside_the_domain(self, kind):
+        r = 3.5 if kind == "logistic" else 2.0
         with pytest.raises(DivergenceError):
-            lyapunov(kind, 3.5 if kind == "logistic" else 2.0, x0=math.nan)
+            chaos._attracting_cycle(kind, r, math.nan, chaos._P_MAX)
+        with pytest.raises(DivergenceError):
+            deterministic_orbit(kind, r, math.nan, 10)
 
     def test_ricker_escape_above_cap_raises(self):
         # f(1/r) = e^{r-1}/r exceeds the 1e6 cap at r = 20
@@ -370,7 +392,7 @@ class TestClassify:
         lyapunov orbit average decides, and a period counts only below
         -_LYAP_TOL, as the least p whose directly stepped orbit returns within
         1e-8 after the cycle-check transient."""
-        lam = lyapunov(kind, r, x0=maps.DEFAULT_X0[kind][0], iters=iters)
+        lam = _orbit_average(kind, r, maps.DEFAULT_X0[kind][0], chaos.DEFAULT_BURN_IN, iters)
         if lam > chaos._LYAP_TOL:
             return "chaotic", None
         x = maps.DEFAULT_X0[kind][0]
@@ -425,7 +447,7 @@ class TestClassify:
         # the Ricker k = 1 and k = 2 roots against one 10^6-step orbit from 0.7
         r = solve("ricker", k, 0.0).branches[0].r
         rep = classify("ricker", r)
-        reference = lyapunov("ricker", r, x0=0.7, iters=1_000_000)
+        reference = _orbit_average("ricker", r, 0.7, chaos.DEFAULT_BURN_IN, 1_000_000)
         assert rep.regime == "chaotic" and rep.se > 0.0
         assert abs(rep.lyapunov - reference) <= 4.0 * rep.se
 

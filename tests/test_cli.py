@@ -97,6 +97,17 @@ class TestSolve:
         assert f"r={sol.branches[0].r!r}" in out
         assert "branch=plus" in out and "branch=minus" in out
 
+    def test_logistic_k_near_the_float_maximum(self, capsys):
+        # 2k + 4 and r (1 + k) overflow here: this printed r=inf theta=nan
+        code, out, err = run_cli(capsys, "solve", "--map", "logistic", "--k", "1e308", "--var-eps", "0")
+        assert (code, err) == (0, "")
+        assert out == ("map=logistic k=1e+308 var_eps=0.0 bound_var=1e-308\n"
+                       "branch=plus r=3.0 theta=6.66666666666667e-309\n"
+                       "branch=minus r=1.0 theta=0.0 degenerate\n")
+        # and transition exited 1: "growth rate r must be finite"
+        code, out, _ = run_cli(capsys, "transition", "--map", "logistic", "--k", "1e308", "--var-eps", "0")
+        assert code == 0 and out.startswith("NO TRANSITION\nbranch=plus r=3.0 regime=")
+
     def test_degenerate_marked(self, capsys):
         _, out, _ = run_cli(capsys, "solve", "--map", "logistic", "--k", "1.0", "--var-eps", "0.0")
         assert "degenerate" in out
@@ -208,6 +219,20 @@ class TestSimulate:
         _, b, _ = run_cli(capsys, *self.BASE[:-1], "8")
         assert a != b
 
+    @pytest.mark.parametrize("x0", ["nan", "1.5"])
+    def test_start_outside_domain_is_3(self, capsys, x0):
+        code, out, err = run_cli(capsys, "simulate", "--map", "logistic", "--r", "3.5", "--x0", x0,
+                                 "--t-max", "3", "--n-traj", "10")
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: the logistic ensemble at variance level 0.0 kept 0 "
+                       "of 10 trajectories in the open domain over 3 steps; a mean needs 2\n")
+
+    def test_subnormal_noise_variance_is_no_noise(self, capsys):
+        # 1/v overflows below about 5.6e-309; it used to give infinite noise and exit 3
+        argv = ("simulate", "--map", "ricker", "--r", "1.5", "--x0", "0.7", "--t-max", "3",
+                "--n-traj", "10", "--noise-var")
+        assert run_cli(capsys, *argv, "1e-320") == run_cli(capsys, *argv, "0")
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_every_trajectory_exiting_is_3_and_named(self, capsys, fmt):
         # every trajectory exits by step 3, so no step has a mean; this
@@ -230,6 +255,27 @@ class TestStationarity:
         assert code == 0
         assert out.startswith("PASS")
         assert "mean_z=" in out and "var_z=" in out
+
+    def test_subnormal_noise_variance_is_no_noise(self, capsys):
+        # it used to print FAIL mean_z=nan var_z=nan
+        argv = ("stationarity", "--map", "logistic", "--k", "2", "--n-traj", "1000", "--var-eps")
+        code, out, err = run_cli(capsys, *argv, "1e-320")
+        assert (code, out, err) == run_cli(capsys, *argv, "0")
+        assert code == 0 and out.startswith("PASS") and err == ""
+
+    @pytest.mark.parametrize("k,v,mean,k_theta", [
+        # every Gamma(1e300, theta) start is the same float
+        ("1e300", "0", "0.6666666666666667", "0.6666666666666666"),
+        # every Gamma(1e-300, theta) start underflows to 0
+        ("1e-300", "0.3", "0.0", "3.413397433959997e-301"),
+    ])
+    def test_sample_without_spread_is_3_and_named(self, capsys, k, v, mean, k_theta):
+        # it used to print FAIL with an infinite z and exit 0
+        code, out, err = run_cli(capsys, "stationarity", "--map", "logistic", "--k", k,
+                                 "--var-eps", v, "--n-traj", "1000")
+        assert code == 3 and out == ""
+        assert err == ("numerical failure: the one-step sample of n_traj=1000 has no spread, so "
+                       f"the z-test is undefined: mean {mean}, k*theta {k_theta}\n")
 
     @pytest.mark.parametrize("n_traj", ["0", "1"])
     def test_fewer_than_two_samples_is_usage(self, capsys, n_traj):
@@ -411,26 +457,21 @@ class TestLyapunov:
         assert code == 1 and out == ""
         assert "growth rate" in err
 
-    @pytest.mark.parametrize("x0", [[], ["--x0", "0.3"]])
-    def test_negative_burn_in_is_usage(self, capsys, x0):
-        code, out, err = run_cli(
-            capsys, "lyapunov", "--map", "logistic", "--r", "4", "--burn-in", "-3", *x0
-        )
+    def test_negative_burn_in_is_usage(self, capsys):
+        code, out, err = run_cli(capsys, "lyapunov", "--map", "logistic", "--r", "4", "--burn-in", "-3")
         assert (code, out, err) == (1, "", "error: burn_in must be >= 0, got -3\n")
 
-    @pytest.mark.parametrize("x0", ["nan", "1.5"])
-    def test_start_outside_domain_is_3(self, capsys, x0):
-        code, out, _ = run_cli(capsys, "lyapunov", "--map", "logistic", "--r", "3.5", "--x0", x0)
-        assert code == 3 and out == ""
+    def test_x0_is_usage(self, capsys):
+        # the estimate always starts its orbits from the map's default start
+        code, out, err = run_cli(capsys, "lyapunov", "--map", "logistic", "--r", "3.5", "--x0", "0.3")
+        assert code == 1 and out == ""
+        assert err.endswith("error: unrecognized arguments: --x0 0.3\n")
 
     def test_ricker_overflow_is_3_and_named(self, capsys):
-        # y = ln x + r(1 - x) passes ln(DBL_MAX) in one step, beyond the cap
-        code, out, err = run_cli(capsys, "lyapunov", "--map", "ricker", "--r", "750", "--x0", "1e-17")
+        # y = ln 0.7 + 3000 (1 - 0.7) passes ln(DBL_MAX) in one step, beyond the cap
+        code, out, err = run_cli(capsys, "lyapunov", "--map", "ricker", "--r", "3000")
         assert code == 3 and out == ""
-        assert err == (
-            "numerical failure: ricker orbit escaped [0, 1e+06]: the step from x=1e-17 "
-            "overflows the float range at r=750.0\n"
-        )
+        assert err == "numerical failure: ricker orbit from x0=0.7 escaped [0, 1e+06] at step 1, x=inf\n"
 
 
 class TestTransition:
@@ -525,11 +566,10 @@ class TestConverge:
             "--n-traj", "10", "--t-max", "3",
         )
         assert code == 3 and out == ""
-        assert err == ("numerical failure: the deterministic ricker orbit from x0=0.7 "
-                       "overflows the float range at step 1, from x=0.7 at r=3000.0\n")
+        assert err == "numerical failure: ricker orbit from x0=0.7 escaped [0, 1e+06] at step 1, x=inf\n"
 
-    @pytest.mark.parametrize("r,x", [("700", "1.1141386482645785e+91"),
-                                     ("750", "3.6421385965195014e+97")], ids=["r700", "r750"])
+    @pytest.mark.parametrize("r,x", [("700", "1.1141386482645677e+91"),
+                                     ("750", "3.642138596519466e+97")], ids=["r700", "r750"])
     def test_ricker_escape_is_3_and_named(self, capsys, r, x):
         # it used to print 0.01,nan at r = 700 and exit 0
         code, out, err = run_cli(
@@ -537,8 +577,15 @@ class TestConverge:
             "--n-traj", "10", "--t-max", "3",
         )
         assert code == 3 and out == ""
-        assert err == ("numerical failure: the deterministic ricker orbit from x0=0.7 "
-                       f"escaped [0, 1e+06] at step 1, x={x}\n")
+        assert err == f"numerical failure: ricker orbit from x0=0.7 escaped [0, 1e+06] at step 1, x={x}\n"
+
+    def test_subnormal_level_is_exact(self, capsys):
+        # its gamma start used to fail with "shape k must be finite"
+        argv = ("converge", "--map", "ricker", "--r", "1.5", "--t-max", "3", "--n-traj", "100", "--ladder")
+        code, out, err = run_cli(capsys, *argv, "1e-2,1e-320")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *argv, "1e-2,0")[1].replace("\n0.0,", "\n1e-320,")
+        assert out.endswith("\n1e-320,0.0\n")
 
     def test_every_trajectory_exiting_is_3_and_named(self, capsys):
         # the orbit 0.7 -> 1.1e5 -> 0 stays in the domain, but every
@@ -567,6 +614,31 @@ class TestConverge:
             "--ladder", "1e-3,1e-2", "--t-max", "5", "--n-traj", "500",
         )
         assert code == 1
+
+
+class TestSeeds:
+    # each command draws from Philox streams keyed by (seed, block), the seed
+    # the high 64 bits of the 128-bit key
+    COMMANDS = {
+        "simulate": ("simulate", "--map", "ricker", "--r", "1.5", "--x0", "0.7", "--noise-var", "0.1",
+                     "--t-max", "2", "--n-traj", "10"),
+        "stationarity": ("stationarity", "--map", "logistic", "--k", "2", "--var-eps", "0.1",
+                         "--n-traj", "1000"),
+        "converge": ("converge", "--map", "logistic", "--r", "2.0", "--ladder", "1e-2", "--t-max", "3",
+                     "--n-traj", "100"),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_largest_seed_runs(self, capsys, command):
+        code, out, _ = run_cli(capsys, *self.COMMANDS[command], "--seed", str(2**64 - 1))
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_seed_outside_64_bits_is_usage(self, capsys, command, seed):
+        # 2**64 used to exit 1 with numpy's "key must be positive and less than 2**128."
+        code, out, err = run_cli(capsys, *self.COMMANDS[command], "--seed", str(seed))
+        assert (code, out, err) == (1, "", f"error: seed must be >= 0 and < 2**64, got {seed}\n")
 
 
 class TestSelfCheck:

@@ -95,6 +95,23 @@ class TestLogisticSolve:
         for b in sol.branches:
             assert abs(logistic_quadratic_residual(b.r, 2.0, 0.1)) < 1e-12
 
+    @pytest.mark.parametrize("k", [1e300, 1e308, 1.7e308])
+    def test_k_near_the_float_maximum_against_mpmath(self, k):
+        # 2k + 4 and r (1 + k) overflow from k ~ 9e307; at k = 1e308 the plus
+        # branch is r = 3 with a subnormal theta
+        for v in (0.0, 0.5 * logistic_noise_bound(k)):
+            sol = logistic_solve(k, v)
+            with mpmath.workdps(50):
+                km, vm = mpmath.mpf(k), mpmath.mpf(v)
+                half_width = (km + 1) * mpmath.sqrt((1 - vm * (km + 2)) / (vm + 1))
+                for b, sign in zip(sol.branches, (1, -1)):
+                    r = float((2 * km + 4 + sign * half_width) / (km + 3))
+                    assert abs(b.r - r) <= math.ulp(r), (v, b.label)
+                    if not b.degenerate:
+                        rm = mpmath.mpf(b.r)
+                        theta = float((rm - 1) / (rm * (1 + km)))
+                        assert 0.0 < theta and abs(b.theta - theta) <= math.ulp(theta), (v, b.label)
+
     def test_boundary_double_root(self):
         sol = logistic_solve(2.0, 0.25)
         assert sol.branches[0].r == pytest.approx(1.6, rel=1e-14)

@@ -80,9 +80,25 @@ def test_only_maps_exponentiates_an_orbit(module):
 
 @pytest.mark.parametrize("module", ["chaos", "mean_dynamics"])
 def test_only_maps_steps_an_orbit(module):
-    """Orbits are stepped in ``maps`` (``orbit``, ``path``, ``blocks``): analysis
-    and mean dynamics call no ``orbit_step``."""
+    """Orbits are stepped in ``maps`` (``blocks``, ``orbit``): analysis and
+    mean dynamics call no ``orbit_step``."""
     assert "orbit_step" not in called_names(module)
+
+
+def test_only_the_cycle_check_steps_a_single_orbit():
+    """``maps.orbit`` settles the orbit of the cycle check and nothing else;
+    every other deterministic orbit, recorded ones included, is stepped by
+    ``maps.blocks``."""
+    callers = {
+        f"{module}.{fn.name}"
+        for module in MODULES
+        for fn in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "orbit"
+    }
+    assert callers == {"chaos._attracting_cycle"}
+    assert "blocks" in called_names("mean_dynamics")
 
 
 def test_divergence_error_is_defined_once_in_maps():

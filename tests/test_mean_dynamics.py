@@ -110,14 +110,14 @@ class TestDeterministicOrbit:
 
     def test_ricker_overflow_is_named(self):
         # the first step needs e^{750 * 0.99}, past the float range
-        with pytest.raises(DivergenceError, match=r"deterministic ricker orbit from x0=0\.01 "
-                           r"overflows the float range at step 1, from x=0\.01 at r=750\.0"):
+        with pytest.raises(DivergenceError) as info:
             deterministic_orbit("ricker", 750.0, 0.01, 5)
+        assert str(info.value) == "ricker orbit from x0=0.01 escaped [0, 1e+06] at step 1, x=inf"
 
     @pytest.mark.parametrize("kind,r,x0,step,x", [
-        # x1 = 0.7 e^225 lies beyond the cap; it used to overflow at step 3
-        ("ricker", 750.0, 0.7, 1, "3.6421385965195014e+97"),
-        ("ricker", 700.0, 0.7, 1, "1.1141386482645785e+91"),
+        # x1 = e^{ln 0.7 + 225} lies beyond the cap; it used to overflow at step 3
+        ("ricker", 750.0, 0.7, 1, "3.642138596519466e+97"),
+        ("ricker", 700.0, 0.7, 1, "1.1141386482645677e+91"),
         ("logistic", 4.5, 0.5, 1, "1.125"),
         # a start outside the domain escapes at step 0; from 2e6 the first
         # Ricker step underflows to 0, inside the domain
@@ -129,11 +129,28 @@ class TestDeterministicOrbit:
             "logistic_start", "negative_start"])
     def test_escape_is_named(self, kind, r, x0, step, x):
         bound = "1e+06" if kind == "ricker" else "1"
-        message = (f"the deterministic {kind} orbit from x0={x0!r} escaped [0, {bound}] "
-                   f"at step {step}, x={x}")
+        message = f"{kind} orbit from x0={x0!r} escaped [0, {bound}] at step {step}, x={x}"
         with pytest.raises(DivergenceError) as info:
             deterministic_orbit(kind, r, x0, 5)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind,r,x0", [("ricker", 2.8, 0.7), ("logistic", 3.9, 0.37)])
+    def test_is_the_kernel_across_blocks(self, kind, r, x0):
+        # the steps of maps.orbit_step, Ricker in y = ln x, over three blocks
+        x, y = np.array([x0]), np.log([x0])
+        want = [x0]
+        for _ in range(450):
+            x, y = maps.orbit_step(kind, r, x, y)
+            want.append(float(x[0]))
+        assert deterministic_orbit(kind, r, x0, 450).tolist() == want
+
+    def test_ricker_orbit_near_zero_keeps_its_digits(self):
+        # at the k = 0.2 equilibrium r the orbit dips below e^-745, where x
+        # reads 0; y = ln x carries on, and the orbit returns (step 236). A
+        # directly stepped x stayed at the extinct fixed point 0.
+        orbit = deterministic_orbit("ricker", 9.146311040868133, 0.7, 450)
+        first_zero = int(np.argmax(orbit == 0.0))
+        assert first_zero > 0 and (orbit[first_zero:] > 0.0).any()
 
     def test_matches_iterated_map(self):
         orbit = deterministic_orbit("logistic", 3.7, 0.2, 5)
@@ -147,6 +164,13 @@ class TestConvergenceSweep:
     def test_zero_level_exact(self):
         out = convergence_sweep("logistic", 2.0, [1e-3, 0.0], t_max=10, n_traj=100, seed=1)
         assert out[-1] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("v", [2.0**-1024, 1e-320, 5e-324])
+    def test_level_without_noise_is_exact(self, v):
+        # 1/v overflows, so the gamma start has no finite shape; the level is
+        # the noiseless point mass, which is the orbit itself
+        out = convergence_sweep("ricker", 1.5, [1e-2, v], t_max=5, n_traj=100, seed=1)
+        assert out == [convergence_sweep("ricker", 1.5, [1e-2], t_max=5, n_traj=100, seed=1)[0], (v, 0.0)]
 
     def test_rejects_non_decreasing_ladder(self):
         with pytest.raises(ValueError):

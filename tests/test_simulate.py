@@ -18,7 +18,7 @@ from steadychaos import (
     stationarity_check,
     trajectory_rng,
 )
-from steadychaos.simulate import BLOCK, _moments
+from steadychaos.simulate import BLOCK, _moments, noiseless
 
 SEED = 20250823
 
@@ -42,10 +42,32 @@ class TestNoiseDraw:
         se_var = math.sqrt((m4 - var_hat**2) / n)
         assert abs(var_hat - v) < 5 * se_var
 
+    @pytest.mark.parametrize("family", ["gamma", "lognormal"])
+    def test_variance_whose_inverse_overflows_is_no_noise(self, family):
+        # 1/v overflows for v <= 2**-1024, and the gamma draws were inf
+        for v in (2.0**-1024, 1e-320, 5e-324):
+            assert noiseless(v)
+            assert np.all(noise_draw(NoiseSpec(v, family), trajectory_rng(SEED, 0), size=1000) == 1.0)
+        # one float above, 1/v is finite and every draw is already exactly 1
+        v = math.nextafter(2.0**-1024, 1.0)
+        assert not noiseless(v)
+        assert np.all(noise_draw(NoiseSpec(v, family), trajectory_rng(SEED, 0), size=1000) == 1.0)
+
     def test_nonnegative_support(self):
         for family in ("gamma", "lognormal"):
             draws = noise_draw(NoiseSpec(0.4, family), trajectory_rng(SEED, 2), size=10**5)
             assert np.all(draws >= 0.0)
+
+
+class TestTrajectoryRng:
+    def test_seed_fills_the_high_64_bits_of_the_key(self):
+        assert trajectory_rng(2**64 - 1, 0).random() != trajectory_rng(0, 0).random()
+        with pytest.raises(ValueError, match=r"^seed must be >= 0 and < 2\*\*64, got 18446744073709551616$"):
+            trajectory_rng(2**64, 0)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0 and < 2\*\*64, got -1$"):
+            trajectory_rng(-1, 0)
+        with pytest.raises(ValueError, match=r"^stream index must be >= 0, got -1$"):
+            trajectory_rng(0, -1)
 
 
 class TestStep:
@@ -300,6 +322,12 @@ class TestStationarity:
         p = GammaParams(2.0, b.theta)
         biased = (b.r + 0.2) * (p.mean() - raw_moment(p, 2))
         assert (biased - p.mean()) * report.mean_z > 0
+
+    @pytest.mark.parametrize("k,v", [(1e300, 0.0), (1e-300, 0.3)])
+    def test_sample_without_spread_is_an_error(self, k, v):
+        # a constant sample has no standard error, so no z
+        with pytest.raises(FloatingPointError, match="^the one-step sample of n_traj=1000 has no spread"):
+            stationarity_check("logistic", k, v, "plus", n_traj=1000, seed=1)
 
     @pytest.mark.parametrize("n_traj", [0, 1])
     def test_rejects_small_sample(self, n_traj):
