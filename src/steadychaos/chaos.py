@@ -62,9 +62,10 @@ def _check_count(name: str, value: int, least: int) -> None:
 
 
 def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: int) -> tuple:
-    """(lambda, se, n): the Lyapunov exponent as the mean of the ln|f'| orbit
-    averages of _ORBITS orbits stepped together by ``maps.blocks``, and its
-    standard error, their standard deviation over sqrt(_ORBITS).
+    """(lambda, se, n): the Lyapunov exponent as the mean of the orbit averages
+    of ``maps.lyapunov_terms`` over _ORBITS orbits stepped together by
+    ``maps.blocks``, and its standard error, their standard deviation over
+    sqrt(_ORBITS).
 
     Orbit j starts at frac(x0 + j _GOLDEN). The orbits burn in for
     ``burn_in`` steps, then average in blocks of ``maps.BLOCK`` steps; after
@@ -87,7 +88,7 @@ def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: 
             done += len(rows)
             if phase == 0:
                 continue
-            sums += maps.log_abs_derivative(kind, r, rows).sum(axis=0)
+            sums += maps.lyapunov_terms(kind, r, rows).sum(axis=0)
             n += len(rows)
             means = sums / n
             lam = float(means.mean())
@@ -122,7 +123,9 @@ def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optiona
         xs.append(x)
         zs.append(y if kind == "ricker" else x)
     for p in range(1, p_max + 1):
-        if abs(zs[p] - zs[0]) < _CYCLE_TOL and abs(zs[2 * p] - zs[p]) < _CYCLE_TOL:
+        # equal states close too: y = -inf on Ricker's extinct fixed point
+        a, b, c = zs[0], zs[p], zs[2 * p]
+        if (b == a or abs(b - a) < _CYCLE_TOL) and (c == b or abs(c - b) < _CYCLE_TOL):
             with np.errstate(divide="ignore"):
                 terms = maps.log_abs_derivative(kind, r, np.array(xs[:p]))
             return p, float(terms.mean())
@@ -162,6 +165,7 @@ class ScanRecord:
     r: float
     samples: np.ndarray
     lyapunov: float
+    se: float  # of ``lyapunov``; NaN with one block, at -inf, or once escaped
 
 
 def bifurcation_scan(
@@ -176,8 +180,10 @@ def bifurcation_scan(
     """Attractor samples and Lyapunov exponent on a uniform r grid.
 
     One orbit per grid point, stepped together by ``maps.blocks``: ``burn_in``
-    steps, ``lyap_iters`` averaging ln|f'|, then ``samples_per_r`` samples. An
-    orbit is NaN from its first escape on, and so is its exponent.
+    steps, ``lyap_iters`` averaging ``maps.lyapunov_terms``, then
+    ``samples_per_r`` samples. The standard error is by batch means over the
+    averaging blocks (Flegal & Jones 2010, Ann. Statist. 38). An orbit is NaN
+    from its first escape on, and so are its exponent and standard error.
     """
     maps.check(kind, r_min)
     maps.check(kind, r_max)
@@ -188,7 +194,7 @@ def bifurcation_scan(
     _check_count("lyap_iters", lyap_iters, 1)
     _check_count("samples_per_r", samples_per_r, 0)
     rs = np.linspace(r_min, r_max, n_r)
-    lam, gone = np.zeros(n_r), np.zeros(n_r, dtype=bool)
+    sums, sizes, gone = [], [], np.zeros(n_r, dtype=bool)
     samples, taken = np.empty((samples_per_r, n_r)), 0
     start = np.full(n_r, maps.DEFAULT_X0[kind][0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -197,15 +203,17 @@ def bifurcation_scan(
             rows[escaped] = np.nan
             gone = escaped[-1]
             if phase == 1:
-                # row by row, so the sum keeps the order of a sequential one
-                for terms in maps.log_abs_derivative(kind, rs, rows):
-                    lam += terms
+                sums.append(maps.lyapunov_terms(kind, rs, rows).sum(axis=0))
+                sizes.append(len(rows))
             elif phase == 2:
                 samples[taken:taken + len(rows)] = rows
                 taken += len(rows)
-    lam /= lyap_iters
+        sums, sizes = np.array(sums), np.array(sizes)[:, None]
+        lam = sums.sum(axis=0) / lyap_iters
+        # block means weighted by block length; one block leaves 0/0
+        se = np.sqrt((sizes * (sums / sizes - lam) ** 2).sum(axis=0) / (len(sizes) - 1) / lyap_iters)
     return [
-        ScanRecord(r=float(rs[i]), samples=samples[:, i].copy(), lyapunov=float(lam[i]))
+        ScanRecord(r=float(rs[i]), samples=samples[:, i].copy(), lyapunov=float(lam[i]), se=float(se[i]))
         for i in range(n_r)
     ]
 

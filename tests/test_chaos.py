@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from steadychaos import (
@@ -158,6 +158,35 @@ class TestSharedKernel:
     def test_ricker_lyapunov_loop_is_the_kernel(self, r, x0, burn_in, iters):
         self._check_orbit("ricker", r, x0, burn_in, iters)
 
+    @given(
+        r=st.floats(min_value=0.1, max_value=7.0),
+        x0=st.floats(min_value=0.01, max_value=20.0),
+        burn_in=st.integers(min_value=0, max_value=50),
+        steps=st.integers(min_value=2, max_value=3 * maps.BLOCK),
+    )
+    @settings(max_examples=100)
+    def test_ricker_terms_drop_a_telescoping_sum(self, r, x0, burn_in, steps):
+        # ln|f'(x)| - lyapunov_terms = r(1 - x), the step y_{t+1} - y_t of
+        # y = ln x; over the m rows of a block the first m - 1 of them sum to
+        # y_{m-1} - y_0. For r <= 7 every state stays above e^-400, so y is
+        # read back from x as ln x.
+        u = 2.0**-53
+        for _, rows in maps.blocks("ricker", r, np.array([x0]), (burn_in, steps)):
+            x = rows[:, 0]
+            assert x.min() > np.finfo(float).tiny
+            # where 1 - r x = 0 (superstable) both sums are -inf
+            assume(np.all(1.0 - r * x[:-1] != 0.0))
+            full = maps.log_abs_derivative("ricker", r, x[:-1])
+            telescoped = maps.lyapunov_terms("ricker", r, x[:-1])
+            y = np.log(x)
+            m = len(x)
+            # each sum of m - 1 terms errs by at most (m - 1) u sum|term|, and
+            # each full term by u |term| from its addition; each step of y by
+            # u |y|; each ln(e^y) read-back by u |y| plus a few u from exp
+            tol = m * u * (np.abs(full).sum() + np.abs(telescoped).sum()) \
+                + u * np.abs(full).sum() + u * np.abs(y).sum() + 2.0 * u * (np.abs(y).max() + 4.0)
+            assert abs(full.sum() - telescoped.sum() - (y[-1] - y[0])) <= tol
+
     @staticmethod
     def _kernel_cycle(kind, r, x0, p_max):
         """The closure rule of the cycle check on the maps.orbit_step orbit,
@@ -172,8 +201,13 @@ class TestSharedKernel:
             orbit.append((x, y))
         orbit = orbit[chaos._CYCLE_TRANSIENT:]
         z = [y if kind == "ricker" else x for x, y in orbit]
+
+        def closes(a, b):
+            # exactly equal states close too: y = -inf on Ricker's extinct fixed point
+            return a == b or abs(a - b) < chaos._CYCLE_TOL
+
         for p in range(1, p_max + 1):
-            if abs(z[p] - z[0]) < chaos._CYCLE_TOL and abs(z[2 * p] - z[p]) < chaos._CYCLE_TOL:
+            if closes(z[p], z[0]) and closes(z[2 * p], z[p]):
                 with np.errstate(divide="ignore"):
                     terms = maps.log_abs_derivative(kind, r, np.array([x for x, _ in orbit[:p]]))
                 return p, float(terms.mean())
@@ -287,6 +321,8 @@ class TestLyapunov:
         # logistic 1 maps onto the extinct fixed point 0, where f'(0) = r, and
         # Ricker stays at 0; neither orbit escapes
         assert chaos._attracting_cycle("logistic", 2.0, 1.0, 1) == (1, math.log(2.0))
+        # the full ln|f'(0)| = r; the telescoped lyapunov_terms would read 0 there
+        assert chaos._attracting_cycle("ricker", 2.0, 0.0, 1) == (1, 2.0)
         orbit = deterministic_orbit("logistic", 2.0, 1.0, 10)
         assert orbit.tolist() == [1.0] + [0.0] * 10
         assert maps.log_abs_derivative("logistic", 2.0, orbit).mean() == math.log(2.0)
@@ -442,9 +478,11 @@ class TestClassify:
         assert rep.regime == "chaotic" and rep.se > 0.0
         assert abs(rep.lyapunov - math.log(2.0)) <= 4.0 * rep.se
 
-    @pytest.mark.parametrize("k", [1.0, 2.0])
+    @pytest.mark.parametrize("k", [0.2, 1.0, 2.0])
     def test_standard_error_covers_a_long_orbit_average(self, k):
-        # the Ricker k = 1 and k = 2 roots against one 10^6-step orbit from 0.7
+        # the Ricker k = 0.2, 1 and 2 roots against one 10^6-step orbit from
+        # 0.7 of the full ln|f'|; at k = 0.2 its dropped half, (y_n - y_0)/n,
+        # is at most about 3600/10^6
         r = solve("ricker", k, 0.0).branches[0].r
         rep = classify("ricker", r)
         reference = _orbit_average("ricker", r, 0.7, chaos.DEFAULT_BURN_IN, 1_000_000)
@@ -457,11 +495,18 @@ class TestClassify:
         assert rep.lyapunov > 4.0 * rep.se
 
     def test_unsettled_sign_at_the_cap_is_marginal(self):
-        # at the k = 0.2 root the sign settles only after thousands of steps;
+        # at the logistic accumulation point of period doubling the exponent
+        # is 0, and after 1100 steps its estimate is still within 4 se of it;
         # the cap need not be a whole number of chunks
-        rep = classify("ricker", 9.146311040868133, iters=1_100)
+        rep = classify("logistic", 3.5699456718709449, iters=1_100)
         assert rep.regime == "marginal" and rep.iters == 1_100
         assert rep.lyapunov > 0.0 and rep.lyapunov <= 4.0 * rep.se
+
+    def test_k02_root_settles_in_one_block(self):
+        # the telescoped Ricker terms settle the sign at the k = 0.2 root
+        # after one block; the full ln|f'| needed 6200 steps
+        rep = classify("ricker", 9.146311040868133)
+        assert rep.regime == "chaotic" and rep.iters <= 400
 
     @pytest.mark.parametrize("kind,r", [("logistic", 3.7), ("ricker", 2.8)])
     def test_lyapunov_without_x0_is_the_classify_estimate(self, kind, r):
@@ -483,24 +528,33 @@ class TestClassify:
 
 
 def _reference_scan(kind, r_min, r_max, n_r, samples_per_r, burn_in, lyap_iters):
-    """(rs, exponents, samples by grid point, escape step per point or -1),
-    stepping all points one step at a time: a point is NaN from the step on
-    which it leaves the domain, and ln|f'| is summed one step at a time."""
+    """(rs, exponents, standard errors, samples by grid point, escape step per
+    point or -1), stepping all points one step at a time: a point is NaN from
+    the step on which it leaves the domain. The lyapunov_terms of each step
+    are kept, summed over each run of maps.BLOCK averaging steps, and the
+    standard error is that of the run means (batch means, weighted by run
+    length)."""
     rs = np.linspace(r_min, r_max, n_r)
     x = np.full(n_r, maps.DEFAULT_X0[kind][0])
     y = np.log(x)
-    lam, samples, escape = np.zeros(n_r), np.empty((n_r, samples_per_r)), np.full(n_r, -1)
+    terms, samples, escape = np.empty((lyap_iters, n_r)), np.empty((n_r, samples_per_r)), np.full(n_r, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(burn_in + lyap_iters + samples_per_r):
             if t >= burn_in + lyap_iters:
                 samples[:, t - burn_in - lyap_iters] = x
             elif t >= burn_in:
-                lam += maps.log_abs_derivative(kind, rs, x)
+                terms[t - burn_in] = maps.lyapunov_terms(kind, rs, x)
             x, y = maps.orbit_step(kind, rs, x, y)
             out = ~maps.in_domain(kind, x)
             escape[out & (escape < 0)] = t + 1
             x[out] = np.nan
-    return rs, lam / lyap_iters, samples, escape
+        starts = range(0, lyap_iters, maps.BLOCK)
+        sums = [terms[i:i + maps.BLOCK].sum(axis=0) for i in starts]
+        lam = np.sum(sums, axis=0) / lyap_iters
+        sizes = [min(maps.BLOCK, lyap_iters - i) for i in starts]
+        spread = sum(b * (s / b - lam) ** 2 for b, s in zip(sizes, sums))
+        se = np.sqrt(spread / (len(sizes) - 1) / lyap_iters)
+    return rs, lam, se, samples, escape
 
 
 class TestBifurcationScan:
@@ -516,10 +570,13 @@ class TestBifurcationScan:
     def test_matches_per_step_reference(self, kind, r_min, r_max, n_r, samples_per_r, burn_in,
                                         lyap_iters, escapes):
         recs = bifurcation_scan(kind, r_min, r_max, n_r, samples_per_r, burn_in, lyap_iters)
-        rs, lam, samples, escape = _reference_scan(kind, r_min, r_max, n_r, samples_per_r,
-                                                   burn_in, lyap_iters)
+        rs, lam, se, samples, escape = _reference_scan(kind, r_min, r_max, n_r, samples_per_r,
+                                                       burn_in, lyap_iters)
         assert [rec.r for rec in recs] == list(rs)
         assert np.array_equal([rec.lyapunov for rec in recs], lam, equal_nan=True)
+        assert [rec.se for rec in recs] == pytest.approx(list(se), rel=1e-12, nan_ok=True)
+        # NaN with one block (lyap_iters <= BLOCK), at -inf and after an escape
+        assert np.isnan(se).all() == (lyap_iters <= maps.BLOCK)
         assert np.array_equal([rec.samples for rec in recs], samples, equal_nan=True)
         # the phase of each escape: burn-in 0, averaging 1, sampling 2
         phases = np.searchsorted([burn_in, burn_in + lyap_iters], escape[escape >= 0], "right")
@@ -551,6 +608,12 @@ class TestBifurcationScan:
             assert np.all(np.isfinite(rec.samples)) and np.all(rec.samples >= 0.0)
             assert rec.samples.max() > 1.0
             assert math.isfinite(rec.lyapunov) and rec.lyapunov != rec.r
+
+    def test_ricker_k02_band_has_a_settled_sign(self):
+        # around the k = 0.2 root (r = 9.1463) at the default lyap_iters; the
+        # full ln|f'| read -0.21 +- 1.57 at that root
+        for rec in bifurcation_scan("ricker", 9.0, 9.2, 5):
+            assert rec.lyapunov > 4.0 * rec.se > 0.0, rec.r
 
     def test_ricker_k02_root_is_chaotic(self):
         # the k = 0.2 equilibrium growth rate, as in the scalar test above

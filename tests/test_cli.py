@@ -496,18 +496,18 @@ class TestTransition:
     # standard error and steps per orbit printed by the ensemble estimate)
     GOLDEN = [
         (("ricker", "0.2", "0"), "TRANSITION", [("plus", "chaotic", None, (
-            "0.0570082994455481", "0.012261517760712508", "6200"))]),
+            "0.050720602958540015", "0.0026684420505065825", "200"))]),
         (("ricker", "0.5", "0"), "TRANSITION", [("plus", "chaotic", None, (
-            "0.4620805808602547", "0.006470092713196533", "200"))]),
+            "0.4631805017568795", "0.0024323976826759455", "200"))]),
         (("ricker", "1", "0"), "TRANSITION", [("plus", "chaotic", None, (
-            "0.46924346170871034", "0.0027324467020374424", "200"))]),
+            "0.47163600403285943", "0.0025681610526748855", "200"))]),
         (("ricker", "2", "0"), "TRANSITION", [("plus", "chaotic", None, (
-            "0.35455182149010356", "0.0017126707889990073", "200"))]),
+            "0.35521147851228896", "0.0016813139235045292", "200"))]),
         (("ricker", "5", "0"), "NO TRANSITION", [("plus", "periodic", "2", None)]),
         (("ricker", "10", "0"), "NO TRANSITION", [("plus", "periodic", "2", None)]),
         (("ricker", "100", "0"), "NO TRANSITION", [("plus", "periodic", "2", None)]),
         (("ricker", "1", "0.05"), "TRANSITION", [
-            ("plus", "chaotic", None, ("0.5185304115311861", "0.0024553292163898718", "200")),
+            ("plus", "chaotic", None, ("0.5176200284125154", "0.0021346165937699184", "200")),
             ("minus", "stable_fixed", "1", None),
         ]),
         (("logistic", "0.5", "0.05"), "NO TRANSITION",
