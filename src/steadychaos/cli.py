@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,22 +54,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(header: list[str], rows: list[list], fmt: str, output: Optional[str]) -> None:
-    lines = []
+def _column_texts(column: Sequence) -> list[str]:
+    # a cell holding the same object as the cell above it has the same text;
+    # bifurcate repeats r and lyapunov on every sample row
+    texts, above, text = [], object(), ""
+    for v in column:
+        if v is not above:
+            above, text = v, _fmt(v)
+        texts.append(text)
+    return texts
+
+
+def _emit(header: list[str], rows: list[Sequence], fmt: str, output: Optional[str]) -> None:
     if fmt == "csv":
-        lines.append(",".join(header))
-        above, texts = None, None
-        for row in rows:
-            # a cell holding the same object as the cell above it has the same
-            # text; bifurcate repeats r and lyapunov on every sample row
-            if above is None:
-                texts = [_fmt(v) for v in row]
-            else:
-                texts = [t if v is a else _fmt(v) for v, a, t in zip(row, above, texts)]
-            lines.append(",".join(texts))
-            above = row
+        columns = [_column_texts(column) for column in zip(*rows)]
+        lines = [",".join(header), *map(",".join, zip(*columns))]
     else:
         # JSON (RFC 8259) has no NaN or infinity: a non-finite float is null
+        lines = []
         for row in rows:
             cells = [None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
             lines.append(json.dumps(dict(zip(header, cells)), allow_nan=False))
@@ -168,7 +171,9 @@ def cmd_stationarity(args) -> int:
         n_traj=args.n_traj, seed=args.seed, family=args.family,
     )
     verdict = "PASS" if report.passed else "FAIL"
-    print(f"{verdict} mean_z={_fmt(report.mean_z)} var_z={_fmt(report.var_z)}")
+    print(f"{verdict} mean_z={_fmt(report.mean_z)} var_z={_fmt(report.var_z)} "
+          f"mean={_fmt(report.mean)} target_mean={_fmt(report.target_mean)} "
+          f"variance={_fmt(report.variance)} target_variance={_fmt(report.target_variance)}")
     return EXIT_OK
 
 
@@ -179,8 +184,7 @@ def cmd_bifurcate(args) -> int:
     header = ["r", "x_sample", "lyapunov"]
     rows = []
     for rec in records:
-        for x in rec.samples:
-            rows.append([rec.r, float(x), rec.lyapunov])
+        rows.extend(zip(repeat(rec.r), rec.samples.tolist(), repeat(rec.lyapunov)))
     _emit(header, rows, args.format, args.output)
     return EXIT_OK
 

@@ -1,9 +1,9 @@
 """Monte Carlo engine for the stochastic logistic and Ricker maps.
 
-An ensemble draws its randomness from counter-based (Philox) streams keyed by
-(seed, block index), one stream per fixed block of BLOCK trajectories
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). Which
-variates a trajectory gets depends only on the seed and its index.
+An ensemble draws its randomness from PCG64DXSM streams (O'Neill,
+HMC-CS-2014-0905) keyed by (seed, block index) through numpy's
+``SeedSequence`` spawn keys, one stream per fixed block of BLOCK trajectories.
+Which variates a trajectory gets depends only on the seed and its index.
 """
 
 from __future__ import annotations
@@ -56,17 +56,22 @@ class StationarityReport:
     mean_z: float
     var_z: float
     passed: bool
+    mean: float  # sample mean of the one-step values
+    variance: float  # their sample variance (ddof=1)
+    target_mean: float  # k*theta
+    target_variance: float  # k*theta^2
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream ``index`` under master ``seed``, the high 64 bits of
-    the 128-bit Philox key; ``run_ensemble`` draws block ``index`` of its
-    trajectories from it."""
+    """PCG64DXSM stream ``index`` under master ``seed``: the generator seeded
+    by ``SeedSequence(seed, spawn_key=(index,))``, so distinct (seed, index)
+    pairs hash to independent states; ``run_ensemble`` draws block ``index``
+    of its trajectories from it."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be >= 0 and < 2**64, got {seed}")
     if index < 0:
         raise ValueError(f"stream index must be >= 0, got {index}")
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def noiseless(variance: float) -> bool:
@@ -135,11 +140,12 @@ def _moments(x: np.ndarray):
     lo = x.min(axis=0)
     constant = x.max(axis=0) == lo
     mean = np.where(constant, lo, x.mean(axis=0))
-    variance = np.where(constant, 0.0, x.var(axis=0, ddof=1))
-    se_mean = np.sqrt(variance / n)
-    # fourth powers by squaring in place: x**4 goes through the slow pow()
+    # one centred copy serves both moments, squared in place: x**4 goes
+    # through the slow pow()
     centered = x - mean
     centered *= centered
+    variance = np.where(constant, 0.0, centered.sum(axis=0) / (n - 1))
+    se_mean = np.sqrt(variance / n)
     centered *= centered
     m4 = centered.mean(axis=0)
     se_variance = np.sqrt(np.clip((m4 - (n - 3) / (n - 1) * variance**2) / n, 0.0, None))
@@ -213,7 +219,8 @@ def stationarity_check(
 
     Samples X0 ~ Gamma(k, theta_branch), applies one stochastic step, and
     z-scores the sample mean against k*theta and the sample variance against
-    k*theta^2. ``r_offset`` perturbs the solved growth rate (negative control).
+    k*theta^2; the report carries both sample moments next to their targets.
+    ``r_offset`` perturbs the solved growth rate (negative control).
     FloatingPointError when the sample has no spread, as at extreme k.
     """
     if n_traj < 2:
@@ -229,11 +236,14 @@ def stationarity_check(
     x1 = maps.step(map_kind, r, rng.gamma(k, b.theta, size=n_traj))
     x1 *= noise_draw(NoiseSpec(var_eps, family), rng, size=n_traj)
     mean, variance, se_mean, se_variance = _moments(x1)
+    target_mean, target_variance = k * b.theta, k * b.theta**2
     if not (se_mean > 0.0 and se_variance > 0.0):
         raise FloatingPointError(f"the one-step sample of n_traj={n_traj} has no spread, so the z-test "
-                                 f"is undefined: mean {float(mean)!r}, k*theta {k * b.theta!r}")
-    mean_z = float((mean - k * b.theta) / se_mean)
-    var_z = float((variance - k * b.theta**2) / se_variance)
+                                 f"is undefined: mean {float(mean)!r}, k*theta {target_mean!r}")
+    mean_z = float((mean - target_mean) / se_mean)
+    var_z = float((variance - target_variance) / se_variance)
     return StationarityReport(
-        mean_z=mean_z, var_z=var_z, passed=abs(mean_z) < 4.0 and abs(var_z) < 4.0
+        mean_z=mean_z, var_z=var_z, passed=abs(mean_z) < 4.0 and abs(var_z) < 4.0,
+        mean=float(mean), variance=float(variance),
+        target_mean=target_mean, target_variance=target_variance,
     )

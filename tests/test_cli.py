@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
@@ -297,6 +298,13 @@ class TestBifurcate:
         lines = out.strip().splitlines()
         assert lines[0] == "r,x_sample,lyapunov"
         assert len(lines) == 1 + 4 * 3
+
+    def test_zero_samples_prints_the_header_alone(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bifurcate", "--map", "logistic", "--r-min", "2.5", "--r-max", "4.0",
+            "--steps", "3", "--samples", "0",
+        )
+        assert (code, out, err) == (0, "r,x_sample,lyapunov\n", "")
 
     def test_negative_samples_is_usage(self, capsys):
         code, out, err = run_cli(
@@ -617,8 +625,8 @@ class TestConverge:
 
 
 class TestSeeds:
-    # each command draws from Philox streams keyed by (seed, block), the seed
-    # the high 64 bits of the 128-bit key
+    # each command draws from PCG64DXSM streams keyed by (seed, block) through
+    # SeedSequence spawn keys; the seed domain is [0, 2**64)
     COMMANDS = {
         "simulate": ("simulate", "--map", "ricker", "--r", "1.5", "--x0", "0.7", "--noise-var", "0.1",
                      "--t-max", "2", "--n-traj", "10"),
@@ -639,6 +647,24 @@ class TestSeeds:
         # 2**64 used to exit 1 with numpy's "key must be positive and less than 2**128."
         code, out, err = run_cli(capsys, *self.COMMANDS[command], "--seed", str(seed))
         assert (code, out, err) == (1, "", f"error: seed must be >= 0 and < 2**64, got {seed}\n")
+
+    # Golden Monte Carlo outputs at fixed seeds: a change of generator or of
+    # its keying moves these pins, and must say so
+    def test_golden_stationarity_line(self, capsys):
+        code, out, _ = run_cli(capsys, "stationarity", "--map", "ricker", "--k", "1", "--var-eps", "0.05",
+                               "--n-traj", "100000", "--seed", "42")
+        assert (code, out) == (0, (
+            "PASS mean_z=-0.2544201154757195 var_z=-0.40133690880164474 mean=1.3670492040015256 "
+            "target_mean=1.3681491214257893 variance=1.8690343068467885 "
+            "target_variance=1.871832018458159\n"))
+
+    def test_golden_simulate_csv(self, capsys):
+        # 3000 trajectories span three blocks, so three streams
+        code, out, _ = run_cli(capsys, "simulate", "--map", "ricker", "--r", "1.3", "--noise-var", "0.05",
+                               "--init-k", "2", "--init-theta", "0.3", "--t-max", "20",
+                               "--n-traj", "3000", "--seed", "7")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == "3fe8d86225f7a8b162541de9d5247653"
 
 
 class TestSelfCheck:

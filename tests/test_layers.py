@@ -113,6 +113,33 @@ def test_divergence_error_is_defined_once_in_maps():
     assert steadychaos.DivergenceError is maps.DivergenceError is chaos.DivergenceError
 
 
+def test_only_trajectory_rng_builds_a_bit_generator():
+    """Every random stream comes from ``simulate.trajectory_rng``, keyed by
+    (seed, block): no other function builds a bit generator or calls
+    ``default_rng``."""
+    import numpy as np
+    builders = {name for name in dir(np.random)
+                if isinstance(getattr(np.random, name), type)
+                and issubclass(getattr(np.random, name), np.random.BitGenerator)}
+    assert {"PCG64DXSM", "Philox", "MT19937"} <= builders
+    builders |= {"default_rng", "RandomState"}
+    callers = set()
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        # each node belongs to its outermost function, or to the module
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        callers |= {
+            f"{module}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in builders
+        }
+    assert callers == {"simulate.trajectory_rng"}
+
+
 def test_cli_takes_choice_lists_from_the_library():
     spelled_out = {("logistic", "ricker"), ("gamma", "lognormal")}
     for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):

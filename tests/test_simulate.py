@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from steadychaos import (
     GammaParams,
@@ -60,7 +61,7 @@ class TestNoiseDraw:
 
 
 class TestTrajectoryRng:
-    def test_seed_fills_the_high_64_bits_of_the_key(self):
+    def test_seed_domain_is_64_bits(self):
         assert trajectory_rng(2**64 - 1, 0).random() != trajectory_rng(0, 0).random()
         with pytest.raises(ValueError, match=r"^seed must be >= 0 and < 2\*\*64, got 18446744073709551616$"):
             trajectory_rng(2**64, 0)
@@ -68,6 +69,16 @@ class TestTrajectoryRng:
             trajectory_rng(-1, 0)
         with pytest.raises(ValueError, match=r"^stream index must be >= 0, got -1$"):
             trajectory_rng(0, -1)
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**64 - 2])
+    def test_neighbouring_streams_are_uncorrelated(self, seed):
+        # under independence the sample correlation of n uniform pairs has
+        # standard deviation 1/sqrt(n); the next block and the next seed are
+        # the neighbours a weak key schedule would tie together
+        n = 100_000
+        u = trajectory_rng(seed, 0).random(n)
+        for other in (trajectory_rng(seed, 1), trajectory_rng(seed + 1, 0)):
+            assert abs(np.corrcoef(u, other.random(n))[0, 1]) < 5.0 / math.sqrt(n)
 
 
 class TestStep:
@@ -304,6 +315,24 @@ class TestStationarity:
         ("ricker", 2.0, 0.05, "plus"),
         ("ricker", 2.0, 0.05, "minus"),
     ]
+
+    @pytest.mark.parametrize("kind,k,v,branch", [("logistic", 2.0, 0.1, "minus"), ("ricker", 1.0, 0.05, "plus")])
+    def test_z_scores_over_seeds_are_standard_normal(self, kind, k, v, branch):
+        # at the true equilibrium both z-scores are asymptotically N(0, 1),
+        # so over independent seeds they must pass a Kolmogorov-Smirnov test.
+        # The branches have one-step excess kurtosis 2.7 and -0.6; the
+        # logistic plus branch at k = 2 has 114, and there var_z averages
+        # -0.38 at this n and -0.13 at n = 2e5: its normal limit comes slowly
+        reports = [stationarity_check(kind, k, v, branch, n_traj=20_000, seed=s) for s in range(200)]
+        for z in ([r.mean_z for r in reports], [r.var_z for r in reports]):
+            assert scipy_stats.kstest(z, "norm").pvalue > 1e-3
+
+    def test_report_carries_moments_next_to_targets(self):
+        report = stationarity_check("ricker", 1.0, 0.05, "plus", n_traj=10_000, seed=3)
+        b = ricker_solve(1.0, 0.05).branches[0]
+        assert (report.target_mean, report.target_variance) == (b.theta, b.theta**2)
+        se_mean = math.sqrt(report.variance / 10_000)
+        assert report.mean_z == pytest.approx((report.mean - b.theta) / se_mean, rel=1e-12)
 
     @pytest.mark.parametrize("kind,k,v,branch", GRID)
     def test_grid_passes(self, kind, k, v, branch):
