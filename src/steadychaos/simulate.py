@@ -1,14 +1,18 @@
 """Monte Carlo engine for the stochastic logistic and Ricker maps.
 
-An ensemble draws its randomness from PCG64DXSM streams (O'Neill,
-HMC-CS-2014-0905) keyed by (seed, block index) through numpy's
-``SeedSequence`` spawn keys, one stream per fixed block of BLOCK trajectories.
-Which variates a trajectory gets depends only on the seed and its index.
+Randomness comes from PCG64DXSM streams (O'Neill, HMC-CS-2014-0905) keyed by
+(seed, index) through numpy's ``SeedSequence`` spawn keys. An ensemble takes
+one stream per fixed block of BLOCK trajectories and draws them on one
+thread. The stationarity sample takes one stream per fixed chunk of CHUNK
+samples, and its chunks are drawn on threads across the cores this process
+may use. Which variates a trajectory or sample gets depends only on the seed
+and its index, never on the thread or core count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
@@ -22,6 +26,12 @@ from .maps import MapKind
 # Trajectories per ensemble stream: a constant, never derived from the
 # ensemble size, so block b always holds the same trajectories.
 BLOCK = 1024
+
+# Samples per stationarity stream: a constant, never derived from the sample
+# size or the core count, so chunk c always holds the same samples. Not BLOCK:
+# about 977 streams per 10^6 samples would spend around 25 ms in SeedSequence
+# setup and per-call overhead, all under the GIL.
+CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,8 @@ def run_trajectory(
 
 def _moments(x: np.ndarray):
     """Mean, variance (ddof=1), se_mean and se_variance over axis 0; NaN
-    when x has fewer than two rows."""
+    when x has fewer than two rows. ``x`` is consumed: it is centred and
+    raised to the fourth power in place."""
     n = x.shape[0]
     if n < 2:
         nan = np.full(x.shape[1:], np.nan)
@@ -140,14 +151,15 @@ def _moments(x: np.ndarray):
     lo = x.min(axis=0)
     constant = x.max(axis=0) == lo
     mean = np.where(constant, lo, x.mean(axis=0))
-    # one centred copy serves both moments, squared in place: x**4 goes
-    # through the slow pow()
-    centered = x - mean
-    centered *= centered
-    variance = np.where(constant, 0.0, centered.sum(axis=0) / (n - 1))
+    # x itself, centred and squared in place, serves both moments: a copy
+    # would be one more n-row array at the peak, and x**4 goes through the
+    # slow pow()
+    x -= mean
+    x *= x
+    variance = np.where(constant, 0.0, x.sum(axis=0) / (n - 1))
     se_mean = np.sqrt(variance / n)
-    centered *= centered
-    m4 = centered.mean(axis=0)
+    x *= x
+    m4 = x.mean(axis=0)
     se_variance = np.sqrt(np.clip((m4 - (n - 3) / (n - 1) * variance**2) / n, 0.0, None))
     return mean, variance, se_mean, se_variance
 
@@ -198,6 +210,13 @@ def run_ensemble(
     )
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pick_branch(sol: EquilibriumSolution, branch: str) -> Branch:
     for b in sol.branches:
         if b.label == branch:
@@ -220,6 +239,9 @@ def stationarity_check(
     Samples X0 ~ Gamma(k, theta_branch), applies one stochastic step, and
     z-scores the sample mean against k*theta and the sample variance against
     k*theta^2; the report carries both sample moments next to their targets.
+    Chunk c holds samples [c*CHUNK, min((c+1)*CHUNK, n_traj)) and draws from
+    ``trajectory_rng(seed, c)``: first its starts, then its noise. Chunks run
+    on a thread pool over the available cores; a one-chunk sample runs inline.
     ``r_offset`` perturbs the solved growth rate (negative control).
     FloatingPointError when the sample has no spread, as at extreme k.
     """
@@ -230,11 +252,26 @@ def stationarity_check(
         raise ValueError("degenerate branch (theta = 0) cannot be sampled")
     r = b.r + r_offset
     maps.check(map_kind, r)
-    rng = trajectory_rng(seed, 0)
-    # X0 is freed once stepped, and the noise multiplies into the step in
-    # place: at the peak one n_traj array fewer is alive than in step(x0) * eps
-    x1 = maps.step(map_kind, r, rng.gamma(k, b.theta, size=n_traj))
-    x1 *= noise_draw(NoiseSpec(var_eps, family), rng, size=n_traj)
+    noise = NoiseSpec(var_eps, family)
+    x1 = np.empty(n_traj)
+
+    def fill(c: int) -> None:
+        # the step and the noise product land in place on the chunk's slice;
+        # numpy releases the GIL while it draws, so chunks overlap
+        part = x1[c * CHUNK:(c + 1) * CHUNK]
+        rng = trajectory_rng(seed, c)
+        part[:] = maps.step(map_kind, r, rng.gamma(k, b.theta, size=len(part)))
+        part *= noise_draw(noise, rng, size=len(part))
+
+    chunks = range(-(-n_traj // CHUNK))
+    if len(chunks) == 1:
+        fill(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # 6-8 ms to import, so only when used
+
+        with ThreadPoolExecutor(_cores()) as pool:
+            # reading every result re-raises a chunk's error before x1 is read
+            list(pool.map(fill, chunks))
     mean, variance, se_mean, se_variance = _moments(x1)
     target_mean, target_variance = k * b.theta, k * b.theta**2
     if not (se_mean > 0.0 and se_variance > 0.0):

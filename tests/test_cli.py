@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from steadychaos import bifurcation_scan, cli, logistic_solve, maps, ricker_solve
+from steadychaos import bifurcation_scan, cli, logistic_solve, maps, ricker_solve, simulate
 from steadychaos.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -651,11 +651,23 @@ class TestSeeds:
     # Golden Monte Carlo outputs at fixed seeds: a change of generator or of
     # its keying moves these pins, and must say so
     def test_golden_stationarity_line(self, capsys):
+        # 10^5 samples span two chunks, so two streams
         code, out, _ = run_cli(capsys, "stationarity", "--map", "ricker", "--k", "1", "--var-eps", "0.05",
                                "--n-traj", "100000", "--seed", "42")
         assert (code, out) == (0, (
-            "PASS mean_z=-0.2544201154757195 var_z=-0.40133690880164474 mean=1.3670492040015256 "
-            "target_mean=1.3681491214257893 variance=1.8690343068467885 "
+            "PASS mean_z=-0.1690127379264565 var_z=-1.2137633839399833 mean=1.3674195248011016 "
+            "target_mean=1.3681491214257893 variance=1.8634886759350886 "
+            "target_variance=1.871832018458159\n"))
+
+    def test_golden_stationarity_line_of_one_chunk(self, capsys):
+        # a sample of at most CHUNK draws from stream 0 alone, starts then
+        # noise, as the single-stream sampler did: these are its digits
+        assert simulate.CHUNK == 65536
+        code, out, _ = run_cli(capsys, "stationarity", "--map", "ricker", "--k", "1", "--var-eps", "0.05",
+                               "--n-traj", "65536", "--seed", "42")
+        assert (code, out) == (0, (
+            "PASS mean_z=0.3305134092644828 var_z=-0.29757845518267023 mean=1.3699143023283058 "
+            "target_mean=1.3681491214257893 variance=1.8693051525772104 "
             "target_variance=1.871832018458159\n"))
 
     def test_golden_simulate_csv(self, capsys):

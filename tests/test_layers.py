@@ -123,6 +123,13 @@ def test_only_trajectory_rng_builds_a_bit_generator():
                 and issubclass(getattr(np.random, name), np.random.BitGenerator)}
     assert {"PCG64DXSM", "Philox", "MT19937"} <= builders
     builders |= {"default_rng", "RandomState"}
+    assert outermost_callers(builders) == {"simulate.trajectory_rng"}
+
+
+def outermost_callers(names: set) -> set:
+    """``module.function`` for each outermost function that calls one of
+    ``names``, bare or as an attribute; ``module.<module>`` for a call at
+    import."""
     callers = set()
     for module in MODULES:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
@@ -135,9 +142,26 @@ def test_only_trajectory_rng_builds_a_bit_generator():
         callers |= {
             f"{module}.{owner.get(node, '<module>')}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in builders
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
         }
-    assert callers == {"simulate.trajectory_rng"}
+    return callers
+
+
+def test_only_the_stationarity_sampler_starts_threads():
+    """The stationarity sample is the one workload drawn on threads: no
+    other function, and no module at import, starts a thread or a process."""
+    starters = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool", "Process",
+                "start_new_thread", "fork", "Popen"}
+    assert outermost_callers(starters) == {"simulate.stationarity_check"}
+
+
+def test_importing_the_cli_does_not_import_concurrent_futures():
+    """``concurrent.futures`` takes 6-8 ms to import, so the sampler
+    imports it when it first needs a pool, not at CLI start-up."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = "import sys, steadychaos.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_cli_takes_choice_lists_from_the_library():

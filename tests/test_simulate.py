@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from steadychaos import (
     raw_moment,
     maps,
     ricker_solve,
+    simulate,
     run_ensemble,
     run_trajectory,
     stationarity_check,
     trajectory_rng,
 )
-from steadychaos.simulate import BLOCK, _moments, noiseless
+from steadychaos.simulate import BLOCK, CHUNK, _moments, noiseless
 
 SEED = 20250823
 
@@ -256,7 +258,7 @@ class TestMoments:
     def test_matches_numpy_reference(self):
         x = np.random.default_rng(SEED).gamma(2.0, 0.3, size=(500, 3))
         n = x.shape[0]
-        mean, variance, se_mean, se_variance = _moments(x)
+        mean, variance, se_mean, se_variance = _moments(x.copy())
         assert np.array_equal(mean, x.mean(axis=0))
         assert np.array_equal(variance, x.var(axis=0, ddof=1))
         assert np.array_equal(se_mean, np.sqrt(variance / n))
@@ -269,7 +271,7 @@ class TestMoments:
         # sums the two in a different order
         x = np.random.default_rng(SEED).gamma(2.0, 0.3, size=(1000, 4))
         for col in range(x.shape[1]):
-            for got, want in zip(_moments(x[:, col]), _moments(x)):
+            for got, want in zip(_moments(x[:, col].copy()), _moments(x.copy())):
                 assert np.ndim(got) == 0
                 assert got == pytest.approx(want[col], rel=1e-12, abs=0.0)
 
@@ -316,7 +318,9 @@ class TestStationarity:
         ("ricker", 2.0, 0.05, "minus"),
     ]
 
-    @pytest.mark.parametrize("kind,k,v,branch", [("logistic", 2.0, 0.1, "minus"), ("ricker", 1.0, 0.05, "plus")])
+    KS_BRANCHES = [("logistic", 2.0, 0.1, "minus"), ("ricker", 1.0, 0.05, "plus")]
+
+    @pytest.mark.parametrize("kind,k,v,branch", KS_BRANCHES)
     def test_z_scores_over_seeds_are_standard_normal(self, kind, k, v, branch):
         # at the true equilibrium both z-scores are asymptotically N(0, 1),
         # so over independent seeds they must pass a Kolmogorov-Smirnov test.
@@ -326,6 +330,67 @@ class TestStationarity:
         reports = [stationarity_check(kind, k, v, branch, n_traj=20_000, seed=s) for s in range(200)]
         for z in ([r.mean_z for r in reports], [r.var_z for r in reports]):
             assert scipy_stats.kstest(z, "norm").pvalue > 1e-3
+
+    @pytest.mark.parametrize("kind,k,v,branch", KS_BRANCHES)
+    def test_z_scores_over_chunk_streams_are_standard_normal(self, monkeypatch, kind, k, v, branch):
+        # 4096-sample chunks: each 2e4 sample spans five streams
+        monkeypatch.setattr(simulate, "CHUNK", 4096)
+        self.test_z_scores_over_seeds_are_standard_normal(kind, k, v, branch)
+
+    def test_same_report_on_any_core_count(self, monkeypatch):
+        # five threads on a short switch interval interleave the chunks'
+        # writes into the one sample array as finely as the host allows
+        n = 3 * CHUNK + 1000
+        reports = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cores in (1, 2, 5):
+                monkeypatch.setattr(simulate, "_cores", lambda: cores)
+                reports.append(stationarity_check("ricker", 1.0, 0.05, "minus", n_traj=n, seed=5))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_matches_serial_chunk_reference(self):
+        # chunk c draws its starts, then its noise, from stream c; the last
+        # chunk is partial
+        n, seed, k, v = 2 * CHUNK + 123, 11, 2.0, 0.1
+        b = next(br for br in logistic_solve(k, v).branches if br.label == "minus")
+        parts = []
+        for c, lo in enumerate(range(0, n, CHUNK)):
+            size = min(CHUNK, n - lo)
+            rng = trajectory_rng(seed, c)
+            x0 = rng.gamma(k, b.theta, size=size)
+            parts.append(maps.step("logistic", b.r, x0) * noise_draw(NoiseSpec(v), rng, size=size))
+        mean, variance, se_mean, se_variance = _moments(np.concatenate(parts))
+        report = stationarity_check("logistic", k, v, "minus", n_traj=n, seed=seed)
+        assert (report.mean, report.variance) == (float(mean), float(variance))
+        assert report.mean_z == float((mean - k * b.theta) / se_mean)
+        assert report.var_z == float((variance - k * b.theta**2) / se_variance)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_error_in_one_chunk_propagates(self, monkeypatch, cores):
+        # the failing chunk leaves its slice unwritten, so no report may be
+        # made from the sample
+        streams = {}
+        real_rng, real_draw = simulate.trajectory_rng, simulate.noise_draw
+
+        def keyed_rng(seed, index):
+            rng = real_rng(seed, index)
+            streams[id(rng)] = index
+            return rng
+
+        def failing_draw(spec, rng, size):
+            if streams[id(rng)] == 2:
+                raise RuntimeError("stream 2 failed")
+            return real_draw(spec, rng, size)
+
+        monkeypatch.setattr(simulate, "_cores", lambda: cores)
+        monkeypatch.setattr(simulate, "trajectory_rng", keyed_rng)
+        monkeypatch.setattr(simulate, "noise_draw", failing_draw)
+        with pytest.raises(RuntimeError, match="^stream 2 failed$"):
+            stationarity_check("logistic", 2.0, 0.1, "minus", n_traj=4 * CHUNK, seed=1)
 
     def test_report_carries_moments_next_to_targets(self):
         report = stationarity_check("ricker", 1.0, 0.05, "plus", n_traj=10_000, seed=3)
