@@ -1,20 +1,27 @@
 """Monte Carlo engine for the stochastic logistic and Ricker maps.
 
 Randomness comes from PCG64DXSM streams (O'Neill, HMC-CS-2014-0905) keyed by
-(seed, index) through numpy's ``SeedSequence`` spawn keys. An ensemble takes
-one stream per fixed block of BLOCK trajectories and draws them on one
-thread. The stationarity sample takes one stream per fixed chunk of CHUNK
-samples, and its chunks are drawn on threads across the cores this process
-may use. Which variates a trajectory or sample gets depends only on the seed
-and its index, never on the thread or core count.
+(seed, index) through numpy's ``SeedSequence`` spawn keys. Both Monte Carlo
+paths, the ensemble and the one-step stationarity sample, run on one keyed
+chunk pipeline. Chunk c holds trajectories [c*CHUNK, min((c+1)*CHUNK, n)),
+draws from stream c, steps its rows time-major and reduces them where they
+were drawn, to partial moments per time: count, mean, the central sums M2,
+M3 and M4, min and max. The partials merge in chunk order by the pairwise
+formulas of Chan, Golub & LeVeque (1979) and Pebay (SAND2008-6212). One chunk
+runs on the calling thread; more run on a thread pool over the cores this
+process may use. Which variates a trajectory gets, and the order of every
+sum, depend only on the seed and its index, never on the thread or core
+count; memory is about cores * CHUNK * (t_max+1) floats, whatever n is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Callable, Iterable, Literal, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -23,14 +30,10 @@ from .equilibrium import Branch, EquilibriumSolution, NoiseFamily, NoiseSpec, so
 from .gamma_core import GammaParams
 from .maps import MapKind
 
-# Trajectories per ensemble stream: a constant, never derived from the
-# ensemble size, so block b always holds the same trajectories.
-BLOCK = 1024
-
-# Samples per stationarity stream: a constant, never derived from the sample
-# size or the core count, so chunk c always holds the same samples. Not BLOCK:
-# about 977 streams per 10^6 samples would spend around 25 ms in SeedSequence
-# setup and per-call overhead, all under the GIL.
+# Trajectories per stream: a constant, never derived from the ensemble size
+# or the core count, so chunk c always holds the same trajectories. Smaller
+# chunks cost SeedSequence setup and per-call overhead under the GIL (about
+# 25 ms per 10^6 samples at 1024), larger ones memory per thread.
 CHUNK = 2**16
 
 
@@ -75,8 +78,8 @@ class StationarityReport:
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """PCG64DXSM stream ``index`` under master ``seed``: the generator seeded
     by ``SeedSequence(seed, spawn_key=(index,))``, so distinct (seed, index)
-    pairs hash to independent states; ``run_ensemble`` draws block ``index``
-    of its trajectories from it."""
+    pairs hash to independent states; chunk ``index`` of an ensemble or a
+    stationarity sample draws from it."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be >= 0 and < 2**64, got {seed}")
     if index < 0:
@@ -104,20 +107,18 @@ def noise_draw(spec: NoiseSpec, rng: np.random.Generator, size: int) -> np.ndarr
     return rng.lognormal(-0.5 * s2, math.sqrt(s2), size=size)
 
 
-def _iterate(map: MapSpec, x0: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Step all trajectories together, time-major: row i starts at x0[i] and
-    takes eps[i, t] at step t. A row holds NaN after the step at which it
-    leaves the open domain; that step keeps the value that left."""
-    values = np.full((len(x0), eps.shape[1] + 1), np.nan)
-    values[:, 0] = x0
-    x = np.where(maps.in_open_domain(map.kind, x0), x0, np.nan)
-    # a step that overflows leaves the domain like any other escape
-    with np.errstate(over="ignore"):
-        for t in range(eps.shape[1]):
-            x = maps.step(map.kind, map.r, x) * eps[:, t]
-            values[:, t + 1] = x
-            x[~maps.in_open_domain(map.kind, x)] = np.nan
-    return values
+def _iterate(map: MapSpec, values: np.ndarray, noise: Iterable[np.ndarray]) -> None:
+    """Step trajectories in place, time-major: values[0] holds the starts, and
+    values[t+1] gets step t, which takes the next array of ``noise``. A
+    trajectory holds NaN after the step at which it leaves the open domain;
+    that step keeps the value that left."""
+    noise = iter(noise)
+    # a step that overflows leaves the domain like any other escape, and the
+    # step from a value that left (inf * e^-inf) is overwritten with NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, row in zip(values, values[1:]):
+            np.multiply(maps.step(map.kind, map.r, x), next(noise), out=row)
+            row[~maps.in_open_domain(map.kind, x)] = np.nan
 
 
 def run_trajectory(
@@ -132,36 +133,106 @@ def run_trajectory(
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     eps = noise_draw(noise, rng, size=t_max)
-    values = _iterate(map, np.array([x0], dtype=float), eps[None, :])[0]
+    values = np.empty(t_max + 1)
+    values[0] = x0
+    _iterate(map, values[:, None], eps[:, None])
     outside = ~maps.in_open_domain(map.kind, values)
     exit_step = int(np.argmax(outside)) if outside.any() else None
     return Trajectory(values=values, exited=exit_step is not None, exit_step=exit_step)
 
 
-def _moments(x: np.ndarray):
-    """Mean, variance (ddof=1), se_mean and se_variance over axis 0; NaN
-    when x has fewer than two rows. ``x`` is consumed: it is centred and
-    raised to the fourth power in place."""
-    n = x.shape[0]
+class _Moments(NamedTuple):  # not a dataclass, which takes 1 ms more to import
+    """Partial moments of n values per time: their mean, the central sums
+    m2, m3 and m4 of their 2nd to 4th powers, and their min and max."""
+    n: int
+    mean: np.ndarray
+    m2: np.ndarray
+    m3: np.ndarray
+    m4: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _reduce(x: np.ndarray) -> _Moments:
+    """Partial moments of each row of x (one row per time) over its columns.
+    ``x`` is consumed: it is centred and raised to the third power in place,
+    in slabs of rows whose one temporary holds about CHUNK values."""
+    rows, n = x.shape
+    p = _Moments(n, *np.empty((6, rows)))
+    step = max(1, CHUNK // max(n, 1))
+    for a in range(0, rows if n else 0, step):
+        d, t = x[a:a + step], slice(a, a + step)
+        d.min(axis=1, out=p.lo[t])
+        d.max(axis=1, out=p.hi[t])
+        # a constant row has its value as mean and exactly zero central sums;
+        # the generic mean leaves rounding residue in all of them
+        mean = np.where(p.lo[t] == p.hi[t], p.lo[t], d.mean(axis=1))
+        p.mean[t] = mean
+        d -= mean[:, None]
+        d2 = d * d
+        d2.sum(axis=1, out=p.m2[t])
+        d *= d2
+        d.sum(axis=1, out=p.m3[t])
+        d2 *= d2
+        d2.sum(axis=1, out=p.m4[t])
+    return p
+
+
+def _merge(a: _Moments, b: _Moments) -> _Moments:
+    """The partial moments of a's values and b's together (Pebay 2008, eqs.
+    2.1, 3.1 and 3.4 at two sets); a set of no values changes nothing."""
+    if b.n == 0:
+        return a
+    if a.n == 0:
+        return b
+    na, nb = float(a.n), float(b.n)
+    n = na + nb
+    d = b.mean - a.mean
+    d2 = d * d
+    return _Moments(
+        a.n + b.n,
+        a.mean + d * (nb / n),
+        a.m2 + b.m2 + d2 * (na * nb / n),
+        a.m3 + b.m3 + d * d2 * (na * nb * (na - nb) / n**2) + 3.0 * d * (na * b.m2 - nb * a.m2) / n,
+        a.m4 + b.m4 + d2 * d2 * (na * nb * (na * na - na * nb + nb * nb) / n**3)
+        + 6.0 * d2 * (na * na * b.m2 + nb * nb * a.m2) / n**2 + 4.0 * d * (na * b.m3 - nb * a.m3) / n,
+        np.minimum(a.lo, b.lo),
+        np.maximum(a.hi, b.hi),
+    )
+
+
+def _stats(p: _Moments):
+    """Mean, variance (ddof=1), se_mean and se_variance per time; NaN below two values."""
+    n = p.n
     if n < 2:
-        nan = np.full(x.shape[1:], np.nan)
+        nan = np.full(p.mean.shape, np.nan)
         return nan, nan, nan, nan
-    # a constant column has its value as mean and exactly zero variance and
-    # se_variance; the generic formulas leave rounding residue in all three
-    lo = x.min(axis=0)
-    constant = x.max(axis=0) == lo
-    mean = np.where(constant, lo, x.mean(axis=0))
-    # x itself, centred and squared in place, serves both moments: a copy
-    # would be one more n-row array at the peak, and x**4 goes through the
-    # slow pow()
-    x -= mean
-    x *= x
-    variance = np.where(constant, 0.0, x.sum(axis=0) / (n - 1))
+    variance = p.m2 / (n - 1)
     se_mean = np.sqrt(variance / n)
-    x *= x
-    m4 = x.mean(axis=0)
-    se_variance = np.sqrt(np.clip((m4 - (n - 3) / (n - 1) * variance**2) / n, 0.0, None))
-    return mean, variance, se_mean, se_variance
+    se_variance = np.sqrt(np.clip((p.m4 / n - (n - 3) / (n - 1) * variance**2) / n, 0.0, None))
+    return p.mean, variance, se_mean, se_variance
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunked(n: int, chunk: Callable[[int, int], _Moments]) -> _Moments:
+    """``chunk(c, rows)`` over the chunks of n trajectories, merged in chunk
+    order: on the calling thread for one chunk, on a thread pool over the
+    available cores for more."""
+    sizes = [min(CHUNK, n - lo) for lo in range(0, n, CHUNK)]
+    if len(sizes) == 1:
+        return chunk(0, sizes[0])
+    from concurrent.futures import ThreadPoolExecutor  # 6-8 ms to import, so only when used
+
+    with ThreadPoolExecutor(_cores()) as pool:
+        # numpy releases the GIL while it draws and steps, so chunks overlap;
+        # reading every result re-raises a chunk's error
+        return functools.reduce(_merge, pool.map(chunk, range(len(sizes)), sizes))
 
 
 InitSpec = Union[float, GammaParams]
@@ -175,46 +246,48 @@ def run_ensemble(
     n_traj: int,
     seed: int,
 ) -> EnsembleStats:
-    """Ensemble of independent trajectories, drawn block by block.
+    """Ensemble of independent trajectories, drawn and reduced chunk by chunk.
 
-    Block b holds trajectories [b*BLOCK, min((b+1)*BLOCK, n_traj)) and draws
-    from ``trajectory_rng(seed, b)``: first its start points when ``init`` is
-    ``GammaParams`` (a float ``init`` is a point mass), then its noise, row by
-    row. Trajectories that exit the admissible region are counted in
-    ``extinct_fraction`` and excluded from all moment estimates;
-    DivergenceError when fewer than two stay, since a mean needs two.
+    Chunk c holds trajectories [c*CHUNK, min((c+1)*CHUNK, n_traj)) and draws
+    from ``trajectory_rng(seed, c)``: first its start points when ``init`` is
+    ``GammaParams`` (a float ``init`` is a point mass), then one noise variate
+    per trajectory at each step. Each chunk steps a (t_max+1, rows) block and
+    reduces its survivors to partial moments, which merge in chunk order, so
+    memory holds one block per core. Trajectories that exit the admissible
+    region are counted in ``extinct_fraction`` and excluded from all moment
+    estimates; DivergenceError when fewer than two stay, since a mean needs two.
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     gamma_init = isinstance(init, GammaParams)
-    x0 = np.empty(n_traj) if gamma_init else np.full(n_traj, float(init))
-    eps = np.empty((n_traj, t_max))
-    for b, lo in enumerate(range(0, n_traj, BLOCK)):
-        rows = min(BLOCK, n_traj - lo)
-        rng = trajectory_rng(seed, b)
-        if gamma_init:
-            x0[lo:lo + rows] = rng.gamma(init.k, init.theta, size=rows)
-        eps[lo:lo + rows] = noise_draw(noise, rng, size=rows * t_max).reshape(rows, t_max)
 
-    values = _iterate(map, x0, eps)
-    exited = ~maps.in_open_domain(map.kind, values[:, -1])
-    survivors = n_traj - int(exited.sum())
-    if survivors < 2:
+    # each thread steps all its chunks in one block: a block allocated and
+    # freed per chunk raised the peak RSS of 10^6 trajectories by another 4 %
+    # of a block in some runs, as malloc moved its mmap threshold
+    blocks = threading.local()
+
+    def chunk(c: int, rows: int) -> _Moments:
+        rng = trajectory_rng(seed, c)
+        if not hasattr(blocks, "values"):
+            blocks.values = np.empty((t_max + 1, min(CHUNK, n_traj)))
+        values = blocks.values[:, :rows]
+        values[0] = rng.gamma(init.k, init.theta, size=rows) if gamma_init else float(init)
+        _iterate(map, values, (noise_draw(noise, rng, size=rows) for _ in range(t_max)))
+        alive = maps.in_open_domain(map.kind, values[-1])
+        kept = int(np.count_nonzero(alive))
+        if kept < rows:
+            for row in values:  # survivors to the front of each time's row
+                row[:kept] = row[alive]
+        return _reduce(values[:, :kept])
+
+    p = _chunked(n_traj, chunk)
+    if p.n < 2:
         raise maps.DivergenceError(f"the {map.kind} ensemble at variance level {noise.variance!r} "
-                                   f"kept {survivors} of {n_traj} trajectories in the open domain "
+                                   f"kept {p.n} of {n_traj} trajectories in the open domain "
                                    f"over {t_max} steps; a mean needs 2")
-    return EnsembleStats(
-        np.arange(t_max + 1), *_moments(values[~exited]), n_traj, float(exited.mean())
-    )
-
-
-def _cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return EnsembleStats(np.arange(t_max + 1), *_stats(p), n_traj, (n_traj - p.n) / n_traj)
 
 
 def _pick_branch(sol: EquilibriumSolution, branch: str) -> Branch:
@@ -239,9 +312,9 @@ def stationarity_check(
     Samples X0 ~ Gamma(k, theta_branch), applies one stochastic step, and
     z-scores the sample mean against k*theta and the sample variance against
     k*theta^2; the report carries both sample moments next to their targets.
-    Chunk c holds samples [c*CHUNK, min((c+1)*CHUNK, n_traj)) and draws from
-    ``trajectory_rng(seed, c)``: first its starts, then its noise. Chunks run
-    on a thread pool over the available cores; a one-chunk sample runs inline.
+    The sample runs on ``run_ensemble``'s chunk pipeline: chunk c draws its
+    starts, then its noise, from ``trajectory_rng(seed, c)``, and reduces its
+    one-step values, all of them kept, where it drew them.
     ``r_offset`` perturbs the solved growth rate (negative control).
     FloatingPointError when the sample has no spread, as at extreme k.
     """
@@ -253,26 +326,14 @@ def stationarity_check(
     r = b.r + r_offset
     maps.check(map_kind, r)
     noise = NoiseSpec(var_eps, family)
-    x1 = np.empty(n_traj)
 
-    def fill(c: int) -> None:
-        # the step and the noise product land in place on the chunk's slice;
-        # numpy releases the GIL while it draws, so chunks overlap
-        part = x1[c * CHUNK:(c + 1) * CHUNK]
+    def chunk(c: int, rows: int) -> _Moments:
         rng = trajectory_rng(seed, c)
-        part[:] = maps.step(map_kind, r, rng.gamma(k, b.theta, size=len(part)))
-        part *= noise_draw(noise, rng, size=len(part))
+        x1 = maps.step(map_kind, r, rng.gamma(k, b.theta, size=rows))
+        x1 *= noise_draw(noise, rng, size=rows)
+        return _reduce(x1[None, :])
 
-    chunks = range(-(-n_traj // CHUNK))
-    if len(chunks) == 1:
-        fill(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # 6-8 ms to import, so only when used
-
-        with ThreadPoolExecutor(_cores()) as pool:
-            # reading every result re-raises a chunk's error before x1 is read
-            list(pool.map(fill, chunks))
-    mean, variance, se_mean, se_variance = _moments(x1)
+    mean, variance, se_mean, se_variance = (s[0] for s in _stats(_chunked(n_traj, chunk)))
     target_mean, target_variance = k * b.theta, k * b.theta**2
     if not (se_mean > 0.0 and se_variance > 0.0):
         raise FloatingPointError(f"the one-step sample of n_traj={n_traj} has no spread, so the z-test "

@@ -147,16 +147,17 @@ def outermost_callers(names: set) -> set:
     return callers
 
 
-def test_only_the_stationarity_sampler_starts_threads():
-    """The stationarity sample is the one workload drawn on threads: no
-    other function, and no module at import, starts a thread or a process."""
+def test_only_the_chunk_runner_starts_threads():
+    """Both Monte Carlo paths run their chunks through ``simulate._chunked``,
+    the one place that starts threads: no other function, and no module at
+    import, starts a thread or a process."""
     starters = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool", "Process",
                 "start_new_thread", "fork", "Popen"}
-    assert outermost_callers(starters) == {"simulate.stationarity_check"}
+    assert outermost_callers(starters) == {"simulate._chunked"}
 
 
 def test_importing_the_cli_does_not_import_concurrent_futures():
-    """``concurrent.futures`` takes 6-8 ms to import, so the sampler
+    """``concurrent.futures`` takes 6-8 ms to import, so ``simulate._chunked``
     imports it when it first needs a pool, not at CLI start-up."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     script = "import sys, steadychaos.cli; print('concurrent.futures' in sys.modules)"

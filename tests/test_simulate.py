@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -21,7 +22,7 @@ from steadychaos import (
     stationarity_check,
     trajectory_rng,
 )
-from steadychaos.simulate import BLOCK, CHUNK, _moments, noiseless
+from steadychaos.simulate import CHUNK, _merge, _reduce, _stats, noiseless
 
 SEED = 20250823
 
@@ -154,6 +155,33 @@ class TestRunTrajectory:
         traj = run_trajectory(MapSpec("ricker", 1.0), 0.5, NoiseSpec(0.05), 17, trajectory_rng(1, 1))
         assert len(traj.values) == 18
 
+    @pytest.mark.parametrize("kind,r,x0,v", [
+        ("logistic", 3.9, 0.3, 0.3),  # leaves (0, 1) part-way
+        ("logistic", 2.0, 1.5, 0.0),  # starts outside
+        ("ricker", 2.6, 0.7, 0.3),
+        ("ricker", 40.0, 0.7, 0.0),  # 0.7 -> 1.1e5 -> 0
+        ("ricker", 800.0, 1e-3, 0.0),  # overflows to inf
+        ("ricker", 1e-4, 2e6, 0.0),  # the step from the cap lands back inside, at 2.7e-81
+    ])
+    def test_matches_a_masked_state_reference(self, kind, r, x0, v):
+        # the state is NaN from the step after an exit, so the exit step
+        # keeps the value that left and nothing comes back into the domain
+        t_max, spec = 30, MapSpec(kind, r)
+        eps = noise_draw(NoiseSpec(v), trajectory_rng(9, 4), size=t_max)
+        want = [x0]
+        x = np.array([x0]) if maps.in_open_domain(kind, x0) else np.array([np.nan])
+        with np.errstate(over="ignore"):
+            for e in eps:
+                x = maps.step(kind, r, x) * e
+                want.append(float(x[0]))
+                x[~maps.in_open_domain(kind, x)] = np.nan
+        outside = [not 0.0 < w < maps.UPPER[kind] for w in want]
+        traj = run_trajectory(spec, x0, NoiseSpec(v), t_max, trajectory_rng(9, 4))
+        assert np.array_equal(traj.values, want, equal_nan=True)
+        assert traj.exit_step == (outside.index(True) if any(outside) else None)
+        if traj.exited:
+            assert np.isnan(traj.values[traj.exit_step + 1:]).all()
+
 
 class TestRunEnsemble:
     def test_zero_noise_point_init_zero_variance(self):
@@ -199,6 +227,30 @@ class TestRunEnsemble:
         surviving = stats.mean[~np.isnan(stats.mean)]
         assert np.all((surviving > 0.0) & (surviving < 1.0))
 
+    @staticmethod
+    def reference_chunks(kind, r, init, v, t_max, n, chunk):
+        """Each chunk's kept trajectories, time-major, stepped one at a time by
+        the scalar kernel: the chunk draws its start points, then one noise
+        variate per trajectory at each step, from its own stream."""
+        def inside(x):
+            return 0.0 < x < maps.UPPER[kind]
+
+        chunks, exited = [], []
+        for c, lo in enumerate(range(0, n, chunk)):
+            size = min(chunk, n - lo)
+            rng = trajectory_rng(SEED, c)
+            if isinstance(init, GammaParams):
+                rows = [[float(x0)] for x0 in rng.gamma(init.k, init.theta, size=size)]
+            else:
+                rows = [[init] for _ in range(size)]
+            for _ in range(t_max):
+                for row, e in zip(rows, noise_draw(NoiseSpec(v), rng, size=size)):
+                    row.append(maps.step(kind, r, row[-1]) * e if inside(row[-1]) else np.nan)
+            exited += [not inside(row[-1]) for row in rows]
+            kept = [row for row in rows if inside(row[-1])]
+            chunks.append(np.array(kept, dtype=float).reshape(len(kept), t_max + 1).T.copy())
+        return chunks, exited
+
     @pytest.mark.parametrize(
         "kind,r,init,v",
         [
@@ -208,39 +260,92 @@ class TestRunEnsemble:
             pytest.param("ricker", 2.6, GammaParams(2.0, 0.3), 0.3, id="ricker-gamma-init"),
         ],
     )
-    def test_matches_scalar_reference_loop(self, kind, r, init, v):
-        # one trajectory at a time, stepped by the scalar kernel; each block
-        # draws its start points, then its noise, from its own stream. The
-        # last block is partial. Ricker differs by np.exp vs math.exp
-        n, t_max = 2 * BLOCK + 37, 10
-        spec = MapSpec(kind, r)
-
-        def inside(x):
-            return 0.0 < x < maps.UPPER[kind]
-
-        rows, exited = [], []
-        for b, lo in enumerate(range(0, n, BLOCK)):
-            size = min(BLOCK, n - lo)
-            rng = trajectory_rng(SEED, b)
-            if isinstance(init, GammaParams):
-                starts = rng.gamma(init.k, init.theta, size=size)
-            else:
-                starts = [init] * size
-            eps = noise_draw(NoiseSpec(v), rng, size=size * t_max).reshape(size, t_max)
-            for x0, e in zip(starts, eps):
-                row = [float(x0)]
-                while len(row) <= t_max and inside(row[-1]):
-                    row.append(maps.step(kind, spec.r, row[-1]) * e[len(row) - 1])
-                exited.append(not inside(row[-1]))
-                rows.append(row + [np.nan] * (t_max + 1 - len(row)))
-        keep = np.array(rows)[~np.array(exited)]
-        stats = run_ensemble(spec, init, NoiseSpec(v), t_max=t_max, n_traj=n, seed=SEED)
+    def test_matches_scalar_reference_loop(self, monkeypatch, kind, r, init, v):
+        # 64-trajectory chunks, so the ensemble spans five streams and the
+        # last chunk is partial. The logistic reference reduces each chunk's
+        # rows as numpy does and merges the means in chunk order, so it is
+        # exact; Ricker differs by np.exp vs math.exp
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        n, t_max = 4 * 64 + 37, 10
+        chunks, exited = self.reference_chunks(kind, r, init, v, t_max, n, 64)
+        stats = run_ensemble(MapSpec(kind, r), init, NoiseSpec(v), t_max=t_max, n_traj=n, seed=SEED)
         assert stats.extinct_fraction == np.mean(exited)
+        keep = np.concatenate(chunks, axis=1)
         if kind == "logistic":
             assert stats.extinct_fraction > 0.0
-            assert np.array_equal(stats.mean, keep.mean(axis=0))
+            mean, count = None, 0
+            for part in chunks:
+                if part.shape[1] == 0:
+                    continue
+                count += part.shape[1]
+                m = part.mean(axis=1)
+                mean = m if mean is None else mean + (m - mean) * (part.shape[1] / count)
+            assert np.array_equal(stats.mean, mean)
         else:
-            assert np.allclose(stats.mean, keep.mean(axis=0), rtol=1e-12, atol=0.0)
+            assert np.allclose(stats.mean, keep.mean(axis=1), rtol=1e-12, atol=0.0)
+        # merged moments against one pass over the same kept values, where a
+        # point-mass start has exactly zero spread, not numpy's residue
+        m, constant = keep.shape[1], keep.min(axis=1) == keep.max(axis=1)
+        variance = np.where(constant, 0.0, keep.var(axis=1, ddof=1))
+        assert np.allclose(stats.variance, variance, rtol=1e-12, atol=0.0)
+        m4 = np.where(constant, 0.0, ((keep - keep.mean(axis=1, keepdims=True)) ** 4).mean(axis=1))
+        se_variance = np.sqrt((m4 - (m - 3) / (m - 1) * variance**2) / m)
+        assert np.allclose(stats.se_variance, se_variance, rtol=1e-12, atol=0.0)
+
+    def test_chunks_without_survivors_merge_as_nothing(self, monkeypatch):
+        # 4-trajectory chunks, some of which lose every trajectory
+        monkeypatch.setattr(simulate, "CHUNK", 4)
+        n, t_max, init = 400, 10, GammaParams(8.0, 0.06)
+        chunks, exited = self.reference_chunks("logistic", 2.8, init, 0.4, t_max, n, 4)
+        assert any(part.shape[1] == 0 for part in chunks)
+        keep = np.concatenate(chunks, axis=1)
+        stats = run_ensemble(MapSpec("logistic", 2.8), init, NoiseSpec(0.4), t_max=t_max, n_traj=n, seed=SEED)
+        assert stats.extinct_fraction == np.mean(exited)
+        assert np.allclose(stats.mean, keep.mean(axis=1), rtol=1e-12, atol=0.0)
+        assert np.allclose(stats.variance, keep.var(axis=1, ddof=1), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cores", [1, 2, 5])
+    def test_same_stats_on_any_core_count(self, monkeypatch, cores):
+        # 1000-trajectory chunks: 7500 trajectories span eight streams, with
+        # exits in every chunk
+        monkeypatch.setattr(simulate, "CHUNK", 1000)
+        monkeypatch.setattr(simulate, "_cores", lambda: 1)
+        args = (MapSpec("logistic", 2.8), GammaParams(8.0, 0.06), NoiseSpec(0.4), 30, 7500, SEED)
+        want = run_ensemble(*args)
+        monkeypatch.setattr(simulate, "_cores", lambda: cores)
+        got = run_ensemble(*args)
+        assert 0.0 < got.extinct_fraction == want.extinct_fraction
+        for field in ("times", "mean", "variance", "se_mean", "se_variance"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_point_mass_stays_exact_across_chunks(self, monkeypatch):
+        # every chunk's start column is the point x0, and without noise so is
+        # every later column: the merge adds exactly zero to mean and sums
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        stats = run_ensemble(MapSpec("ricker", 1.5), 0.4, NoiseSpec(0.1), t_max=5, n_traj=300, seed=SEED)
+        assert (stats.mean[0], stats.variance[0], stats.se_variance[0]) == (0.4, 0.0, 0.0)
+        assert np.all(stats.variance[1:] > 0.0)
+        stats = run_ensemble(MapSpec("ricker", 1.5), 0.4, NoiseSpec(0.0), t_max=5, n_traj=300, seed=SEED)
+        orbit = [0.4]
+        for _ in range(5):
+            orbit.append(float(maps.step("ricker", 1.5, np.array([orbit[-1]]))[0]))
+        assert stats.mean.tolist() == orbit
+        assert np.all(stats.variance == 0.0) and np.all(stats.se_variance == 0.0)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_error_in_one_chunk_propagates(self, monkeypatch, cores):
+        real_rng = simulate.trajectory_rng
+
+        def failing_rng(seed, index):
+            if index == 2:
+                raise RuntimeError("stream 2 failed")
+            return real_rng(seed, index)
+
+        monkeypatch.setattr(simulate, "CHUNK", 64)
+        monkeypatch.setattr(simulate, "_cores", lambda: cores)
+        monkeypatch.setattr(simulate, "trajectory_rng", failing_rng)
+        with pytest.raises(RuntimeError, match="^stream 2 failed$"):
+            run_ensemble(MapSpec("ricker", 1.5), 0.4, NoiseSpec(0.1), t_max=5, n_traj=300, seed=SEED)
 
     def test_fewer_than_two_survivors_is_named(self):
         # 0.7 -> 1.1e5 -> 0: every trajectory exits, so no step has a mean
@@ -249,36 +354,92 @@ class TestRunEnsemble:
         assert str(info.value) == ("the ricker ensemble at variance level 0.01 kept 0 of 10 "
                                    "trajectories in the open domain over 3 steps; a mean needs 2")
 
+    def test_fewer_than_two_survivors_over_chunks_is_named(self, monkeypatch):
+        # one survivor in all: chunk 0 keeps it, chunks 1 and 2 keep none
+        monkeypatch.setattr(simulate, "CHUNK", 4)
+        real_draw = simulate.noise_draw
+
+        def draw(spec, rng, size):
+            eps = real_draw(spec, rng, size)
+            eps[1:] = 1e9  # pushes every trajectory but a chunk's first past the cap
+            if rng.bit_generator.seed_seq.spawn_key != (0,):
+                eps[0] = 1e9
+            return eps
+
+        monkeypatch.setattr(simulate, "noise_draw", draw)
+        with pytest.raises(maps.DivergenceError) as info:
+            run_ensemble(MapSpec("ricker", 1.5), 0.7, NoiseSpec(0.01), t_max=3, n_traj=10, seed=SEED)
+        assert str(info.value) == ("the ricker ensemble at variance level 0.01 kept 1 of 10 "
+                                   "trajectories in the open domain over 3 steps; a mean needs 2")
+
     def test_rejects_small_ensemble(self):
         with pytest.raises(ValueError):
             run_ensemble(MapSpec("logistic", 2.0), 0.5, NoiseSpec(0.0), 5, 1, SEED)
 
 
+def moments_of(parts) -> tuple:
+    """Mean, variance, se_mean and se_variance of the chunks ``parts``, each
+    reduced on its own and merged in order."""
+    return _stats(functools.reduce(_merge, [_reduce(part.copy()) for part in parts]))
+
+
 class TestMoments:
+    """The chunk reduction (``_reduce``), the pairwise merge (``_merge``) and
+    the statistics drawn from it (``_stats``), on time-major rows."""
+
     def test_matches_numpy_reference(self):
-        x = np.random.default_rng(SEED).gamma(2.0, 0.3, size=(500, 3))
-        n = x.shape[0]
-        mean, variance, se_mean, se_variance = _moments(x.copy())
-        assert np.array_equal(mean, x.mean(axis=0))
-        assert np.array_equal(variance, x.var(axis=0, ddof=1))
+        x = np.random.default_rng(SEED).gamma(2.0, 0.3, size=(3, 500))
+        n = x.shape[1]
+        mean, variance, se_mean, se_variance = moments_of([x])
+        assert np.array_equal(mean, x.mean(axis=1))
+        assert np.array_equal(variance, x.var(axis=1, ddof=1))
         assert np.array_equal(se_mean, np.sqrt(variance / n))
-        m4 = ((x - mean) ** 4).mean(axis=0)
+        m4 = ((x - mean[:, None]) ** 4).mean(axis=1)
         want = np.sqrt((m4 - (n - 3) / (n - 1) * variance**2) / n)
         assert np.allclose(se_variance, want, rtol=1e-12, atol=0.0)
 
     def test_one_column_reduces_like_a_matrix(self):
-        # stationarity_check reduces a vector, run_ensemble a matrix; NumPy
-        # sums the two in a different order
-        x = np.random.default_rng(SEED).gamma(2.0, 0.3, size=(1000, 4))
-        for col in range(x.shape[1]):
-            for got, want in zip(_moments(x[:, col].copy()), _moments(x.copy())):
-                assert np.ndim(got) == 0
-                assert got == pytest.approx(want[col], rel=1e-12, abs=0.0)
+        # stationarity_check reduces one time's values, run_ensemble a block
+        # of times; each time reduces alone, so the two agree to the bit
+        x = np.random.default_rng(SEED).gamma(2.0, 0.3, size=(4, 1000))
+        for row in range(x.shape[0]):
+            for got, want in zip(moments_of([x[row:row + 1]]), moments_of([x])):
+                assert got.shape == (1,) and got[0] == want[row]
 
     @pytest.mark.parametrize("rows", [0, 1])
     def test_fewer_than_two_rows_is_nan(self, rows):
-        for column in _moments(np.ones((rows, 3))):
+        for column in moments_of([np.ones((3, rows))]):
             assert column.shape == (3,) and np.isnan(column).all()
+
+    def test_slabs_reduce_like_one_block(self, monkeypatch):
+        # the reduction works through a block a few times at a time; where
+        # the slabs fall changes nothing
+        x = np.random.default_rng(SEED).gamma(2.0, 0.3, size=(7, 300))
+        want = _reduce(x.copy())
+        monkeypatch.setattr(simulate, "CHUNK", 600)  # slabs of two times
+        got = _reduce(x.copy())
+        for field in ("mean", "m2", "m3", "m4", "lo", "hi"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_merged_chunks_match_one_pass(self):
+        # chunks of every size, empty and single-value ones among them, merge
+        # to the central sums of one pass over all values
+        x = np.random.default_rng(SEED).gamma(0.5, 2.0, size=(3, 2000)) + 10.0
+        cuts = [0, 0, 1, 2, 700, 700, 1500, 1999, 2000]
+        p = functools.reduce(_merge, [_reduce(x[:, a:b].copy()) for a, b in zip(cuts, cuts[1:])])
+        d = x - x.mean(axis=1, keepdims=True)
+        assert p.n == 2000
+        assert np.allclose(p.mean, x.mean(axis=1), rtol=1e-12, atol=0.0)
+        for got, power in ((p.m2, 2), (p.m3, 3), (p.m4, 4)):
+            assert np.allclose(got, (d**power).sum(axis=1), rtol=1e-12, atol=0.0), power
+        assert np.array_equal(p.lo, x.min(axis=1)) and np.array_equal(p.hi, x.max(axis=1))
+
+    def test_constant_rows_stay_exact_across_chunks(self):
+        x = np.full((2, 900), 0.1)
+        x[1] = 1.0 / 3.0
+        mean, variance, se_mean, se_variance = moments_of([x[:, :1], x[:, 1:400], x[:, 400:]])
+        assert mean.tolist() == [0.1, 1.0 / 3.0]
+        assert variance.tolist() == se_mean.tolist() == se_variance.tolist() == [0.0, 0.0]
 
 
 class TestDistributionFreeOneStep:
@@ -363,15 +524,32 @@ class TestStationarity:
             rng = trajectory_rng(seed, c)
             x0 = rng.gamma(k, b.theta, size=size)
             parts.append(maps.step("logistic", b.r, x0) * noise_draw(NoiseSpec(v), rng, size=size))
-        mean, variance, se_mean, se_variance = _moments(np.concatenate(parts))
+        mean, variance, se_mean, se_variance = (s[0] for s in moments_of([p[None, :] for p in parts]))
         report = stationarity_check("logistic", k, v, "minus", n_traj=n, seed=seed)
         assert (report.mean, report.variance) == (float(mean), float(variance))
         assert report.mean_z == float((mean - k * b.theta) / se_mean)
         assert report.var_z == float((variance - k * b.theta**2) / se_variance)
 
+    def test_one_chunk_reduces_in_one_pass_order(self):
+        # a sample of at most CHUNK is one chunk, and its reduction takes the
+        # one-pass operations in their order: mean, then the sums of the
+        # squared and fourth-power deviations
+        n, seed, k, v = CHUNK, 11, 1.0, 0.05
+        b = ricker_solve(k, v).branches[0]
+        rng = trajectory_rng(seed, 0)
+        x = maps.step("ricker", b.r, rng.gamma(k, b.theta, size=n)) * noise_draw(NoiseSpec(v), rng, size=n)
+        mean = x.mean()
+        d2 = (x - mean) ** 2
+        variance = d2.sum() / (n - 1)
+        se_variance = math.sqrt(max(((d2 * d2).mean() - (n - 3) / (n - 1) * variance**2) / n, 0.0))
+        report = stationarity_check("ricker", k, v, "plus", n_traj=n, seed=seed)
+        assert (report.mean, report.variance) == (mean, variance)
+        assert report.mean_z == (mean - b.theta) / math.sqrt(variance / n)
+        assert report.var_z == (variance - b.theta**2) / se_variance
+
     @pytest.mark.parametrize("cores", [1, 2])
     def test_error_in_one_chunk_propagates(self, monkeypatch, cores):
-        # the failing chunk leaves its slice unwritten, so no report may be
+        # the failing chunk returns no partial moments, so no report may be
         # made from the sample
         streams = {}
         real_rng, real_draw = simulate.trajectory_rng, simulate.noise_draw
@@ -453,3 +631,58 @@ class TestStationarity:
         )
         drift = stats.mean - 1.0 * b.theta
         assert np.all(np.isfinite(drift))
+
+
+SCALE_SCRIPT = """
+import json, resource
+from steadychaos import GammaParams, MapSpec, NoiseSpec, ricker_solve, run_ensemble, simulate
+
+b = ricker_solve(1.0, 0.05).branches[0]
+args = (MapSpec("ricker", b.r), GammaParams(1.0, b.theta), NoiseSpec(0.05))
+# one step over a chunk per core, two at least, starts the pool's threads
+run_ensemble(*args, t_max=1, n_traj=max(2, simulate._cores()) * simulate.CHUNK, seed=2)
+baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+stats = run_ensemble(*args, t_max=50, n_traj=10**6, seed=1)
+print(json.dumps({
+    "baseline_kib": baseline,
+    "peak_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "cores": simulate._cores(),
+    "chunk": simulate.CHUNK,
+    "mean": stats.mean.tolist(),
+    "extinct_fraction": stats.extinct_fraction,
+}))
+"""
+
+
+def test_ensemble_memory_is_bounded_by_the_chunk():
+    """10^6 Ricker trajectories x 50 steps from a Gamma start, in a fresh
+    process. The baseline is the peak RSS after import and a one-step run over
+    a chunk per core, which starts the pool's threads. What the full run adds
+    above it must fit in CHUNK float64 columns of t_max+1 = 51 rows, the
+    thread's block, plus 4 rows of working arrays per core: noise, the step's
+    temporaries and the reduction's scratch take about 2.1 rows, and malloc's
+    placement moves the peak by up to 1.5 more. That is 55 MiB on two cores,
+    where the whole (n, t_max+1) matrix would be 389 MiB and the run needed
+    about 1.2 GB."""
+    import json
+    import os
+    import subprocess
+    from pathlib import Path
+
+    # a process starts with the peak RSS of the one that spawned it, and this
+    # one has imported scipy: a small interpreter in between starts the run
+    # from its own few MB
+    launch = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+    src = Path(simulate.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", launch, SCALE_SCRIPT], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    grown = (got["peak_kib"] - got["baseline_kib"]) * 1024
+    row = got["chunk"] * 8
+    budget = got["cores"] * (51 + 4) * row
+    # the run must show in the peak, or the bound would hold for nothing
+    assert 25 * row < grown < budget, (grown, budget)
+    b = ricker_solve(1.0, 0.05).branches[0]
+    assert got["extinct_fraction"] == 0.0
+    assert abs(got["mean"][1] - math.exp(b.r) * laplace_moment(GammaParams(1.0, b.theta), 1, b.r)) < 0.01
