@@ -107,7 +107,7 @@ def lyapunov(kind: MapKind, r: float, burn_in: int = DEFAULT_BURN_IN, iters: int
     maps.check(kind, r)
     _check_count("burn_in", burn_in, 0)
     _check_count("iters", iters, 1)
-    return _ensemble_exponent(kind, r, maps.DEFAULT_X0[kind][0], burn_in, iters)[0]
+    return _ensemble_exponent(kind, r, maps.DEFAULT_X0[kind], burn_in, iters)[0]
 
 
 def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optional[tuple]:
@@ -139,25 +139,24 @@ def classify(kind: MapKind, r: float, iters: int = DEFAULT_ITERS) -> RegimeRepor
     exact exponent below -_LYAP_TOL is stable_fixed (p = 1) or periodic. Only
     otherwise is the exponent the ensemble estimate of ``_ensemble_exponent``
     after DEFAULT_BURN_IN, ``iters`` its cap: chaotic when it exceeds both
-    _LYAP_TOL and _Z standard errors, else marginal. divergent when the
-    orbits escape from both ``maps.DEFAULT_X0`` starts.
+    _LYAP_TOL and _Z standard errors, else marginal. Both start from
+    ``maps.DEFAULT_X0``, as ``lyapunov`` does; divergent when an orbit escapes.
     """
     maps.check(kind, r)
     _check_count("iters", iters, 1)
-    for start in maps.DEFAULT_X0[kind]:
-        try:
-            cycle = _attracting_cycle(kind, r, start, _P_MAX)
-            # a closure inside the tolerance band is a bifurcation edge
-            if cycle is not None and cycle[1] < -_LYAP_TOL:
-                period, lam = cycle
-                regime = "stable_fixed" if period == 1 else "periodic"
-                return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, period=period)
-            lam, se, n = _ensemble_exponent(kind, r, start, DEFAULT_BURN_IN, iters)
-        except DivergenceError:
-            continue
-        regime = "chaotic" if lam > _LYAP_TOL and lam > _Z * se else "marginal"
-        return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, se=se, iters=n)
-    return RegimeReport(kind=kind, r=r, lyapunov=float("nan"), regime="divergent")
+    start = maps.DEFAULT_X0[kind]
+    try:
+        cycle = _attracting_cycle(kind, r, start, _P_MAX)
+        # a closure inside the tolerance band is a bifurcation edge
+        if cycle is not None and cycle[1] < -_LYAP_TOL:
+            period, lam = cycle
+            regime = "stable_fixed" if period == 1 else "periodic"
+            return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, period=period)
+        lam, se, n = _ensemble_exponent(kind, r, start, DEFAULT_BURN_IN, iters)
+    except DivergenceError:
+        return RegimeReport(kind=kind, r=r, lyapunov=float("nan"), regime="divergent")
+    regime = "chaotic" if lam > _LYAP_TOL and lam > _Z * se else "marginal"
+    return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, se=se, iters=n)
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ def bifurcation_scan(
     rs = np.linspace(r_min, r_max, n_r)
     sums, sizes, gone = [], [], np.zeros(n_r, dtype=bool)
     samples, taken = np.empty((samples_per_r, n_r)), 0
-    start = np.full(n_r, maps.DEFAULT_X0[kind][0])
+    start = np.full(n_r, maps.DEFAULT_X0[kind])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for phase, rows in maps.blocks(kind, rs, start, (burn_in, lyap_iters, samples_per_r)):
             escaped = np.logical_or.accumulate(~maps.in_domain(kind, rows), axis=0) | gone

@@ -113,7 +113,8 @@ def logistic_theta(r: float, k: float) -> float:
 
 
 def logistic_solve(k: float, var_eps: float) -> EquilibriumSolution:
-    """Solve for both growth-rate branches of the stochastic logistic map."""
+    """Solve for both growth-rate branches of the stochastic logistic map. r- is the
+    trivial root 1 exactly at var_eps = 0 and never below it; a branch is degenerate iff its theta is 0."""
     bound = logistic_noise_bound(k)
     _check_var(var_eps)
     if var_eps > bound:
@@ -130,9 +131,10 @@ def logistic_solve(k: float, var_eps: float) -> EquilibriumSolution:
     for label, sign in (("plus", 1.0), ("minus", -1.0)):
         # (2k + 4 +- half_width)/(k + 3), scaled by 1/4 (exact) so 2k + 4 cannot overflow
         r = 4.0 * ((0.5 * (k + 2.0) + sign * (0.25 * half_width)) / (k + 3.0))
-        degenerate = abs(r - 1.0) <= 1e-10
-        theta = 0.0 if degenerate else logistic_theta(r, k)
-        branches.append(Branch(r=r, theta=theta, label=label, degenerate=degenerate))
+        if sign < 0.0 and (var_eps == 0.0 or r < 1.0):
+            r = 1.0  # r- >= 1 for every var_eps >= 0; the formula rounds off it at some k
+        theta = logistic_theta(r, k)
+        branches.append(Branch(r=r, theta=theta, label=label, degenerate=theta == 0.0))
     return EquilibriumSolution(
         map="logistic",
         k=k,

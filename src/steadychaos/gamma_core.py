@@ -1,9 +1,10 @@
 """Gamma-distribution machinery: density, raw and Laplace-weighted moments,
 central moments, and the moment fit.
 
-Gamma-function ratios Gamma(k+n)/Gamma(k) are sums of logs (``math.fsum``)
-and the density is evaluated in log space with ``math.lgamma``, so that
-large shape parameters (k up to ~1e7) do not overflow intermediate terms.
+Raw moments are one product of the factors (k+j) theta. Laplace-weighted
+moments sum the logs of Gamma(k+n)/Gamma(k) (``math.fsum``) and the density
+is evaluated in log space with ``math.lgamma``, so that large shape
+parameters (k up to ~1e7) do not overflow intermediate terms.
 """
 
 from __future__ import annotations
@@ -78,19 +79,17 @@ def _gamma_ratio_log(k: float, n: int) -> float:
 def raw_moment(p: GammaParams, n: int) -> float:
     """E[X^n] = theta^n Gamma(k+n)/Gamma(k).
 
-    The Gamma ratio for integer n is the rising factorial k(k+1)...(k+n-1),
-    taken as a direct product when representable and in log space otherwise.
+    One product of the factors (k+j) theta, j < n. They grow with j, so no
+    partial product exceeds the larger of the first factor and the result:
+    the product overflows only where E[X^n] exceeds the float range.
     """
     n = _check_order(n)
-    if n == 0:
-        return 1.0
-    log_m = n * math.log(p.theta) + _gamma_ratio_log(p.k, n)
-    if log_m < 0.95 * _LOG_FLOAT_MAX:
-        prod = 1.0
-        for j in range(n):
-            prod *= (p.k + j) * p.theta
-        return prod
-    return _exp_in_range(log_m, f"raw moment n={n}", p)
+    prod = 1.0
+    for j in range(n):
+        prod *= (p.k + j) * p.theta
+    if prod == math.inf:
+        raise OverflowError(f"raw moment n={n} of Gamma(k={p.k}, theta={p.theta}) exceeds float range")
+    return prod
 
 
 def laplace_moment(p: GammaParams, n: int, s: float) -> float:

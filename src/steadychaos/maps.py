@@ -32,8 +32,9 @@ UPPER = {"logistic": 1.0, "ricker": RICKER_X_CAP}
 BLOCK = 200  # rows in one block of ``blocks``
 
 # Generic starting points away from fixed points, superstable preimages,
-# and poles; the second is the retry when an orbit from the first escapes.
-DEFAULT_X0 = {"logistic": (0.37, 0.23), "ricker": (0.7, 1.3)}
+# and poles, one per map: [0, 1] is invariant for the logistic map at r <= 4,
+# and Ricker maps [0, cap] below the cap while e^{r-1}/r < cap (r < ~17.7).
+DEFAULT_X0 = {"logistic": 0.37, "ricker": 0.7}
 
 
 class DivergenceError(RuntimeError):

@@ -5,8 +5,8 @@ Randomness comes from PCG64DXSM streams (O'Neill, HMC-CS-2014-0905) keyed by
 paths, the ensemble and the one-step stationarity sample, run on one keyed
 chunk pipeline. Chunk c holds trajectories [c*CHUNK, min((c+1)*CHUNK, n)),
 draws from stream c, steps its rows time-major and reduces them where they
-were drawn, to partial moments per time: count, mean, the central sums M2,
-M3 and M4, min and max. The partials merge in chunk order by the pairwise
+were drawn, to partial moments per time: count, mean and the central sums
+M2, M3 and M4. The partials merge in chunk order by the pairwise
 formulas of Chan, Golub & LeVeque (1979) and Pebay (SAND2008-6212). One chunk
 runs on the calling thread; more run on a thread pool over the cores this
 process may use. Which variates a trajectory gets, and the order of every
@@ -142,15 +142,13 @@ def run_trajectory(
 
 
 class _Moments(NamedTuple):  # not a dataclass, which takes 1 ms more to import
-    """Partial moments of n values per time: their mean, the central sums
-    m2, m3 and m4 of their 2nd to 4th powers, and their min and max."""
+    """Partial moments of n values per time: their mean and the central sums
+    m2, m3 and m4 of their 2nd to 4th powers."""
     n: int
     mean: np.ndarray
     m2: np.ndarray
     m3: np.ndarray
     m4: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
 
 
 def _reduce(x: np.ndarray) -> _Moments:
@@ -158,15 +156,14 @@ def _reduce(x: np.ndarray) -> _Moments:
     ``x`` is consumed: it is centred and raised to the third power in place,
     in slabs of rows whose one temporary holds about CHUNK values."""
     rows, n = x.shape
-    p = _Moments(n, *np.empty((6, rows)))
+    p = _Moments(n, *np.empty((4, rows)))
     step = max(1, CHUNK // max(n, 1))
     for a in range(0, rows if n else 0, step):
         d, t = x[a:a + step], slice(a, a + step)
-        d.min(axis=1, out=p.lo[t])
-        d.max(axis=1, out=p.hi[t])
+        lo = d.min(axis=1)
         # a constant row has its value as mean and exactly zero central sums;
         # the generic mean leaves rounding residue in all of them
-        mean = np.where(p.lo[t] == p.hi[t], p.lo[t], d.mean(axis=1))
+        mean = np.where(lo == d.max(axis=1), lo, d.mean(axis=1))
         p.mean[t] = mean
         d -= mean[:, None]
         d2 = d * d
@@ -196,8 +193,6 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
         a.m3 + b.m3 + d * d2 * (na * nb * (na - nb) / n**2) + 3.0 * d * (na * b.m2 - nb * a.m2) / n,
         a.m4 + b.m4 + d2 * d2 * (na * nb * (na * na - na * nb + nb * nb) / n**3)
         + 6.0 * d2 * (na * na * b.m2 + nb * nb * a.m2) / n**2 + 4.0 * d * (na * b.m3 - nb * a.m3) / n,
-        np.minimum(a.lo, b.lo),
-        np.maximum(a.hi, b.hi),
     )
 
 

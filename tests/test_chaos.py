@@ -280,7 +280,7 @@ class TestLyapunov:
     def test_superstable_ensemble_stops_after_one_chunk(self, kind, r):
         # every orbit lands on the superstable fixed point: a -inf term,
         # which has no spread
-        lam, se, n = chaos._ensemble_exponent(kind, r, maps.DEFAULT_X0[kind][0], 1_000, 100_000)
+        lam, se, n = chaos._ensemble_exponent(kind, r, maps.DEFAULT_X0[kind], 1_000, 100_000)
         assert lam == -math.inf and math.isnan(se) and n == maps.BLOCK
 
     def test_divergence_raises(self):
@@ -415,7 +415,7 @@ class TestClassify:
         # directly stepped x underflows to the extinct fixed point 0 and
         # closes at period 1; stepped in ln x it closes nowhere
         r = 9.146311040868133
-        for x0 in maps.DEFAULT_X0["ricker"]:
+        for x0 in (0.7, 1.3):
             assert chaos._attracting_cycle("ricker", r, x0, chaos._P_MAX) is None
         # the long-run exponent is about 0.049 (a 4e5-step orbit average)
         rep = classify("ricker", r)
@@ -428,10 +428,10 @@ class TestClassify:
         lyapunov orbit average decides, and a period counts only below
         -_LYAP_TOL, as the least p whose directly stepped orbit returns within
         1e-8 after the cycle-check transient."""
-        lam = _orbit_average(kind, r, maps.DEFAULT_X0[kind][0], chaos.DEFAULT_BURN_IN, iters)
+        lam = _orbit_average(kind, r, maps.DEFAULT_X0[kind], chaos.DEFAULT_BURN_IN, iters)
         if lam > chaos._LYAP_TOL:
             return "chaotic", None
-        x = maps.DEFAULT_X0[kind][0]
+        x = maps.DEFAULT_X0[kind]
         for _ in range(chaos._CYCLE_TRANSIENT):
             x = maps.step(kind, r, x)
         ref = x
@@ -521,8 +521,8 @@ class TestClassify:
         assert rep.lyapunov == pytest.approx(-0.034200126355, rel=0.0, abs=1e-12)
 
     def test_ricker_overflow_is_divergent(self):
-        # at r = 3000 the orbits from both default starts overflow the float
-        # range: from 0.7 the first step needs e^900, from 1.3 the second
+        # at r = 3000 the orbits from the default start 0.7 overflow the
+        # float range: the first step needs e^900
         report = classify("ricker", 3000.0)
         assert report.regime == "divergent" and math.isnan(report.lyapunov)
 
@@ -535,7 +535,7 @@ def _reference_scan(kind, r_min, r_max, n_r, samples_per_r, burn_in, lyap_iters)
     standard error is that of the run means (batch means, weighted by run
     length)."""
     rs = np.linspace(r_min, r_max, n_r)
-    x = np.full(n_r, maps.DEFAULT_X0[kind][0])
+    x = np.full(n_r, maps.DEFAULT_X0[kind])
     y = np.log(x)
     terms, samples, escape = np.empty((lyap_iters, n_r)), np.empty((n_r, samples_per_r)), np.full(n_r, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -110,8 +110,14 @@ class TestSolve:
         assert code == 0 and out.startswith("NO TRANSITION\nbranch=plus r=3.0 regime=")
 
     def test_degenerate_marked(self, capsys):
-        _, out, _ = run_cli(capsys, "solve", "--map", "logistic", "--k", "1.0", "--var-eps", "0.0")
-        assert "degenerate" in out
+        # at v = 0 the minus root is 1.0 exactly; the formula printed
+        # 0.9999999999999999 and 1.0000000000000002 at the first two k
+        for k in ("4.095492670900633e-06", "2.0237323614798062e-06", "1.0", "1e300"):
+            _, out, _ = run_cli(capsys, "solve", "--map", "logistic", "--k", k, "--var-eps", "0.0")
+            assert out.endswith("branch=minus r=1.0 theta=0.0 degenerate\n"), k
+        # only there: a tolerance of 1e-10 on r once printed theta=0.0 degenerate here
+        _, out, _ = run_cli(capsys, "solve", "--map", "logistic", "--k", "1", "--var-eps", "1e-11")
+        assert out.endswith("branch=minus r=1.00000000001 theta=5.000000413651855e-12\n")
 
     def test_ricker_root_beyond_rmax_note(self, capsys):
         code, out, _ = run_cli(
@@ -269,6 +275,12 @@ class TestStationarity:
         assert code == 0
         assert out.startswith("PASS")
         assert "mean_z=" in out and "var_z=" in out
+
+    def test_minus_branch_just_above_the_trivial_root(self, capsys):
+        # r = 1 + 1e-11 has theta 5e-12; it was marked degenerate and refused (exit 1)
+        code, out, err = run_cli(capsys, "stationarity", "--map", "logistic", "--k", "1",
+                                 "--var-eps", "1e-11", "--branch", "minus", "--n-traj", "200000")
+        assert code == 0 and err == "" and out.startswith("PASS")
 
     def test_subnormal_noise_variance_is_no_noise(self, capsys):
         # it used to print FAIL mean_z=nan var_z=nan

@@ -24,7 +24,7 @@ from steadychaos import (
     ricker_theta,
     solve,
 )
-from steadychaos.equilibrium import FAMILIES
+from steadychaos.equilibrium import FAMILIES, logistic_theta
 
 # frozen from a 40-digit evaluation of the closed form
 LOGISTIC_K2_V01_PLUS = 2.0431293675255978
@@ -157,6 +157,23 @@ class TestLogisticSolve:
             for b in sol.branches:
                 if b.r > 1.0:
                     assert b.theta > 0.0
+
+    def test_degenerate_iff_the_trivial_root(self):
+        # r- = 1 exactly at v = 0 and never below 1; theta is (r-1)/(r(1+k)) on
+        # every branch, and 0, the degenerate mark, only at r = 1. A 1e-10
+        # tolerance on r once zeroed theta on branches at r = 1 + 5e-12. The
+        # formula rounds r- of the two small k to 0.9999999999999999 at tiny v
+        for k in [*np.geomspace(1e-6, 1e300, 300), 4.095492670900633e-06, 2.0237323614798062e-06]:
+            k = float(k)
+            for v in (0.0, 1e-17, 1e-16, 1e-15, 1e-13, 1e-11, 1e-9):
+                if v > logistic_noise_bound(k):
+                    continue
+                plus, minus = logistic_solve(k, v).branches
+                for b in (plus, minus):
+                    assert b.theta == logistic_theta(b.r, k) >= 0.0, (k, v, b)
+                    assert b.degenerate == (b.r == 1.0), (k, v, b)
+                if v == 0.0:
+                    assert minus.r == 1.0, k
 
     def test_trivial_root_residual_all_k(self):
         for k in (0.2, 1.0, 5.0, 50.0):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -136,8 +137,38 @@ class TestRawMoment:
             raw_moment(GammaParams(1.0, 1.0), -1)
 
     def test_overflow_reported(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^raw moment n=4 of Gamma\(k=1.0, theta=1e\+300\) exceeds float range$"):
             raw_moment(GammaParams(1.0, 1e300), 4)
+
+    def test_correctly_rounded_near_the_float_maximum(self):
+        # (1e100)^3 as one product; a log-space sum gave 1.00000000000009e+300
+        assert raw_moment(GammaParams(1e100, 1.0), 3) == 1e300
+
+    def test_top_of_the_float_range_against_exact_product(self):
+        # moments with ln E[X^n] in [0.95, 1.01] ln(max float): the product
+        # keeps n roundings, and overflows exactly where the moment does
+        rng = np.random.default_rng(20)
+        log_max = math.log(sys.float_info.max)
+        overflowed = 0
+        for _ in range(1500):
+            n = int(rng.integers(1, 13))
+            k = float(10.0 ** rng.uniform(-3.0, 300.0 / n))
+            log_m = rng.uniform(0.95, 1.01) * log_max
+            log_theta = (log_m - math.fsum(math.log(k + j) for j in range(n))) / n
+            if log_theta > 700.0:  # theta itself near the float maximum
+                continue
+            theta = math.exp(log_theta)
+            exact = exact_raw_moments(k, theta, n)[n]
+            try:
+                want = float(exact)
+            except OverflowError:
+                overflowed += 1
+                with pytest.raises(OverflowError, match=f"^raw moment n={n} "):
+                    raw_moment(GammaParams(k, theta), n)
+                continue
+            got = Fraction(raw_moment(GammaParams(k, theta), n))
+            assert abs(got - exact) <= 2 * n * EPS * exact, (k, theta, n, float(got / exact - 1))
+        assert 0 < overflowed < 1500
 
 
 class TestLaplaceMoment:
