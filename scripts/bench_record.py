@@ -7,7 +7,9 @@ checkout running first for every other seed, and reads the JSON result from
 the last line of each run. Writes ``BENCH_<short-rev>.json`` per checkout
 (``BENCH_<short-rev>-dirty.json`` when its tree has uncommitted changes):
 the median and quartiles of every end-to-end metric per workload, the failed
-and attempted operation counts, the environment and the revision. With two
+and attempted operation counts, the environment, the revision, and the
+``src_sha256`` that each run of the checkout prints on its ``env`` line (if
+those differ, the sources changed during the runs, and nothing is written). With two
 checkouts it also prints, per metric, how the second compares with the first
 over the pairs of runs.
 
@@ -16,7 +18,6 @@ over the pairs of runs.
 """
 
 import argparse
-import hashlib
 import importlib.metadata
 import json
 import os
@@ -42,15 +43,6 @@ def git(checkout: Path, *args: str) -> str:
     return done.stdout.strip()
 
 
-def src_digest(checkout: Path) -> str:
-    """sha256 over the package sources, as the benchmark's env line gives it."""
-    digest = hashlib.sha256()
-    for path in sorted((checkout / "src" / "steadychaos").glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
-
-
 def cpu_model() -> str:
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -73,10 +65,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         result = strict_json(lines[-1])
         return {"seed": seed, "correct": bool(result["correct"]), "attempted": int(result["attempted"]),
                 "failed": int(result["failed"]),
-                "metrics": {name: (float(m["value"]), m["unit"]) for name, m in result["metrics"].items()}}
+                "metrics": {name: (float(m["value"]), m["unit"]) for name, m in result["metrics"].items()},
+                "src_sha256": run_digest(lines)}
     except (ValueError, KeyError, TypeError) as exc:
-        raise SystemExit(f"error: the last line of {' '.join(argv[1:])} in {checkout} is not a result: "
+        raise SystemExit(f"error: the output of {' '.join(argv[1:])} in {checkout} is not a result: "
                          f"{exc}: {lines[-1][:200]!r}")
+
+
+def run_digest(lines: list) -> str:
+    """The src_sha256 of the sources a run imported, from the env line it prints first."""
+    for line in lines:
+        if line.startswith("env "):
+            return str(strict_json(line[4:])["src_sha256"])
+    raise ValueError("no env line")
 
 
 def summary(runs: list, names: list) -> dict:
@@ -142,11 +143,17 @@ def main() -> None:
     # one's peak RSS, so the recorder stays small to leave peak_rss_mb unmasked
     environment = {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
                    "cores": cores, "cpu_model": cpu_model()}
+    digests = {}
+    for c in checkouts:
+        seen = sorted({run["src_sha256"] for w in workloads for run in runs[(c, w)]})
+        if len(seen) != 1:  # the sources changed while they were measured
+            raise SystemExit(f"error: the runs in {c} report src_sha256 {', '.join(seen)}; nothing written")
+        digests[c] = seen[0]
     records = {}
     for c in checkouts:
         revision, clean = revisions[c]
         records[c] = {
-            "revision": revision, "clean": clean, "src_sha256": src_digest(c), "environment": environment,
+            "revision": revision, "clean": clean, "src_sha256": digests[c], "environment": environment,
             "settings": {"command": "perfbench/run.py --trace 0", "seconds": seconds, "seeds": seeds},
             "workloads": {w: summary(runs[(c, w)], names) for w in workloads},
         }

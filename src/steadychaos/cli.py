@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,27 +54,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _column_texts(column: Sequence) -> list[str]:
-    # a cell holding the same object as the cell above it has the same text;
-    # bifurcate repeats r and lyapunov on every sample row
-    texts, above, text = [], object(), ""
-    for v in column:
-        if v is not above:
-            above, text = v, _fmt(v)
-        texts.append(text)
-    return texts
-
-
 def _emit(header: list[str], rows: list[Sequence], fmt: str, output: Optional[str]) -> None:
     if fmt == "csv":
-        columns = [_column_texts(column) for column in zip(*rows)]
-        lines = [",".join(header), *map(",".join, zip(*columns))]
+        lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
     else:
         # JSON (RFC 8259) has no NaN or infinity: a non-finite float is null
         lines = []
         for row in rows:
             cells = [None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
             lines.append(json.dumps(dict(zip(header, cells)), allow_nan=False))
+    _write(lines, output)
+
+
+def _write(lines: list[str], output: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -182,11 +174,27 @@ def cmd_bifurcate(args) -> int:
         args.map, args.r_min, args.r_max, args.steps, samples_per_r=args.samples
     )
     header = ["r", "x_sample", "lyapunov"]
+    if args.format == "csv":
+        _write([",".join(header), *_bifurcate_csv_rows(records)], args.output)
+        return EXIT_OK
     rows = []
     for rec in records:
         rows.extend(zip(repeat(rec.r), rec.samples.tolist(), repeat(rec.lyapunov)))
     _emit(header, rows, args.format, args.output)
     return EXIT_OK
+
+
+def _bifurcate_csv_rows(records) -> Iterator[str]:
+    # the text of r and lyapunov once per record, and of each distinct sample
+    # once per record (a periodic attractor repeats its few points)
+    for rec in records:
+        head, tail = f"{_fmt(rec.r)},", f",{_fmt(rec.lyapunov)}"
+        texts = {}
+        for x in rec.samples.tolist():
+            text = texts.get(x) if x else None  # -0.0 == 0.0 share a key, not a text
+            if text is None:
+                text = texts[x] = repr(x)
+            yield head + text + tail
 
 
 def cmd_lyapunov(args) -> int:

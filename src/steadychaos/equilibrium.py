@@ -197,20 +197,38 @@ def _ricker_log_var(s: float, k: float) -> float:
     return (k + 2.0) * math.log1p(-math.expm1(-s)) - k * s
 
 
-def _bisect(f, pos: float, neg: float) -> float:
-    """Root of f between pos and neg, where f(pos) > 0 >= f(neg).
+def _ricker_root(k: float, log_var: float, pos: float, neg: float) -> float:
+    """Root of f(s) = L(s) - log_var between pos and neg, where f(pos) > 0 and
+    f(neg) <= 0, the latter in exact arithmetic.
 
-    Halves until the midpoint rounds onto an endpoint: the bracket is then
-    two adjacent floats.
+    Newton from neg: L is concave, so each step stays on the side where
+    f <= 0 and moves toward the root. A step that leaves the bracket or lands
+    on pos bisects instead, and a step shorter than one ulp tries the next
+    float toward pos. Ends when the bracket is two adjacent floats, with
+    f > 0 at one and f <= 0 at the other.
     """
+    f_neg = _ricker_log_var(neg, k) - log_var if neg else -log_var  # L(0) = 0
+    while f_neg > 0.0:
+        # f rounds positive at neg (the r+ bound at small k): the sign change lies beyond it
+        pos, neg = neg, math.nextafter(neg, math.copysign(math.inf, neg - pos))
+        f_neg = _ricker_log_var(neg, k) - log_var
     while True:
         mid = 0.5 * (pos + neg)
         if mid == pos or mid == neg:
             return mid
-        if f(mid) > 0.0:
-            pos = mid
+        # L'(neg), without the k - k cancellation of (k+2) e^{-s}/(2 - e^{-s}) - k
+        e = math.exp(-neg)
+        slope = 2.0 * (e + k * math.expm1(-neg)) / (2.0 - e)
+        s = neg - f_neg / slope if slope != 0.0 else mid
+        if s == neg:
+            s = math.nextafter(neg, pos)
+        elif not (pos < s < neg or neg < s < pos):
+            s = mid
+        f_s = _ricker_log_var(s, k) - log_var
+        if f_s > 0.0:
+            pos = s
         else:
-            neg = mid
+            neg, f_neg = s, f_s
 
 
 def ricker_noise_bound(k: float, r_max: float = RICKER_DEFAULT_R_MAX) -> float:
@@ -232,8 +250,9 @@ def ricker_solve(
 ) -> EquilibriumSolution:
     """Solve for the positive growth-rate branches of the stochastic Ricker map.
 
-    Each root is bisected to adjacent floats inside its exact bracket, either
-    side of the tangency r*; the side names the branch. Raises
+    Each root is solved by safeguarded Newton inside its exact bracket, either
+    side of the tangency r*, to two adjacent floats between which the rounded
+    L(s) - ln(1+var_eps) changes sign; the side names the branch. Raises
     InfeasibleError when var_eps exceeds v_max(k), and NoRootError when the
     roots exist but all lie beyond r_max.
     """
@@ -247,10 +266,9 @@ def ricker_solve(
         )
     log_var = math.log1p(var_eps)
     s_t = math.log1p(1.0 / k)
-    f = lambda s: _ricker_log_var(s, k) - log_var
-    if f(s_t) > 0.0:
-        s_plus = _bisect(f, s_t, ((k + 2.0) * math.log(2.0) - log_var) / k)
-        s_minus = _bisect(f, s_t, 0.0) if var_eps > 0.0 else 0.0
+    if _ricker_log_var(s_t, k) > log_var:
+        s_plus = _ricker_root(k, log_var, s_t, ((k + 2.0) * math.log(2.0) - log_var) / k)
+        s_minus = _ricker_root(k, log_var, s_t, 0.0) if var_eps > 0.0 else 0.0
     else:
         # tangency within rounding: the two roots coincide
         s_plus = s_minus = s_t

@@ -1,5 +1,8 @@
 import math
+import runpy
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,6 +27,7 @@ from steadychaos import (
     ricker_theta,
     solve,
 )
+from steadychaos import equilibrium
 from steadychaos.equilibrium import FAMILIES, logistic_theta
 
 # frozen from a 40-digit evaluation of the closed form
@@ -295,7 +299,9 @@ class TestRickerSolve:
 
 
 def _mp_ricker(r, k, v):
-    return 2 * mpmath.exp(r / (k + 1)) - ((1 + v) * mpmath.exp(2 * r)) ** (1 / (k + 2)) - 1
+    # 2 e^{r/(k+1)} - ((1+v) e^{2r})^{1/(k+2)} - 1, in expm1/log1p so that 1 + v
+    # keeps its digits at v = 1e-300
+    return 2 * mpmath.expm1(r / (k + 1)) - mpmath.expm1((mpmath.log1p(v) + 2 * r) / (k + 2))
 
 
 def _mp_tangency(k):
@@ -317,7 +323,11 @@ def _mp_roots(k, v, r_star):
     while f(hi) > 0:
         hi *= 2
     plus = mpmath.findroot(f, (r_star, hi), solver="illinois")
-    minus = mpmath.findroot(f, (mpmath.mpf(0), r_star), solver="illinois") if v > 0 else None
+    # f is of the order of ln(1+v) near the minus root: divided by it, findroot's
+    # absolute tolerance is relative to that root at v = 1e-300 too; Anderson-Bjorck,
+    # since Illinois takes a halving per step from the far end of (0, r*) there
+    g = lambda r: f(r) / mpmath.log1p(v)
+    minus = mpmath.findroot(g, (mpmath.mpf(0), r_star), solver="anderson") if v > 0 else None
     return plus, minus
 
 
@@ -357,14 +367,14 @@ class TestRickerOracles:
         with mpmath.workdps(50):
             r_star, v_max = _mp_tangency(k)
             assert ricker_noise_bound(k, r_max=math.inf) == pytest.approx(float(v_max), rel=1e-14)
-            for frac in (0.0, 1e-6, 0.3, 0.7, 0.99):
-                v = frac * float(v_max)
+            fractions = [frac * float(v_max) for frac in (0.0, 1e-6, 0.3, 0.7, 0.99)]
+            for v in fractions + [1e-300, 1e-100, 1e-20]:
                 sol = ricker_solve(k, v, r_max=math.inf)
                 plus, minus = _mp_roots(k, v, r_star)
                 want = [("plus", plus)] + ([("minus", minus)] if minus is not None else [])
                 assert [b.label for b in sol.branches] == [label for label, _ in want]
                 for b, (_, r) in zip(sol.branches, want):
-                    assert b.r == pytest.approx(float(r), rel=1e-13)
+                    assert b.r == pytest.approx(float(r), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("k", (1e155, 1e160, 1e162, 1e163, 1e200, 1e300))
     def test_huge_k_root_and_bound_against_mpmath(self, k):
@@ -403,6 +413,101 @@ class TestRickerOracles:
         assert minus.r < r_star < plus.r
         for b in sol.branches:
             assert abs(_rel_residual(b.r, k, v)) <= 1e-10
+
+
+def _bisection_calls(f, pos, neg):
+    """Evaluations of f that halving [pos, neg] to adjacent floats takes."""
+    calls = 0
+    while (mid := 0.5 * (pos + neg)) not in (pos, neg):
+        calls += 1
+        if f(mid) > 0.0:
+            pos = mid
+        else:
+            neg = mid
+    return calls
+
+
+class TestRickerRoot:
+    """The root routine behind ricker_solve, on the floating-point
+    f(s) = L(s) - ln(1+v) that it solves."""
+
+    @staticmethod
+    def solved_s(k, v):
+        """The s that each root call of ricker_solve(k, v) returns."""
+        found = []
+        root = equilibrium._ricker_root
+
+        def recording(*args):
+            found.append(root(*args))
+            return found[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equilibrium, "_ricker_root", recording)
+            ricker_solve(k, v, r_max=math.inf)
+        return found
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = [0]
+        log_var = equilibrium._ricker_log_var
+
+        def counted(s, k):
+            calls[0] += 1
+            return log_var(s, k)
+
+        monkeypatch.setattr(equilibrium, "_ricker_log_var", counted)
+        return calls
+
+    def assert_brackets_a_sign_change(self, k, v):
+        log_var = math.log1p(v)
+        positive = lambda s: equilibrium._ricker_log_var(s, k) - log_var > 0.0
+        for s in self.solved_s(k, v):
+            neighbours = (math.nextafter(s, -math.inf), math.nextafter(s, math.inf))
+            assert any(positive(n) != positive(s) for n in neighbours), (k, v, s)
+
+    @given(
+        log10_k=st.floats(min_value=-2.0, max_value=3.0),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        j=st.integers(min_value=0, max_value=300),
+        uniform=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_each_root_and_a_neighbour_bracket_a_sign_change(self, log10_k, frac, j, uniform):
+        k = 10.0 ** log10_k
+        v_max = ricker_noise_bound(k, r_max=math.inf)
+        self.assert_brackets_a_sign_change(k, frac * v_max if uniform else v_max * 10.0 ** -j)
+
+    @pytest.mark.parametrize("k", (0.01, 1.0, 10.0, 100.0))
+    def test_figure_scan_roots_bracket_a_sign_change(self, k):
+        # at k = 0.01 f rounds positive at the plus root's upper bound on 36 of
+        # these 101 points, so the sign change lies past that bound in floats
+        for v in np.linspace(0.0, 0.5, 101).tolist():
+            if v <= ricker_noise_bound(k, r_max=math.inf):
+                self.assert_brackets_a_sign_change(k, v)
+
+    def test_figure_grid_takes_under_a_quarter_of_the_bisection_evaluations(self, monkeypatch, tmp_path):
+        # bisection took 31 238 evaluations over the 101-step figures
+        calls = self.counting(monkeypatch)
+        monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--steps", "101",
+                                          "--out-dir", str(tmp_path)])
+        runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"),
+                       run_name="__main__")
+        assert 0 < calls[0] <= 7500
+
+    def test_tiny_noise_takes_a_few_evaluations(self, monkeypatch):
+        # bisection took 1104: the minus root is about 1e-300
+        calls = self.counting(monkeypatch)
+        ricker_solve(1.0, 1e-300)
+        assert calls[0] <= 30
+
+    @pytest.mark.parametrize("k", np.geomspace(1e155, 1e300, 8).tolist())
+    def test_huge_k_takes_no_more_evaluations_than_bisection(self, monkeypatch, k):
+        calls = self.counting(monkeypatch)
+        ricker_solve(k, 0.0)
+        newton = calls[0]
+        f = lambda s: equilibrium._ricker_log_var(s, k)
+        # the two noise bounds and the test at the tangency come first either way
+        assert newton <= 3 + _bisection_calls(f, math.log1p(1.0 / k), (k + 2.0) * math.log(2.0) / k)
 
 
 class TestRickerTheta:

@@ -67,3 +67,40 @@ def test_bench_record_writes_a_summary(tmp_path):
     for m in figures["metrics"].values():
         assert len(m["values"]) == 2 and m["q1"] <= m["median"] <= m["q3"]
         assert m["median"] == statistics.median(m["values"])
+
+
+# a stand-in benchmark whose runs report src_sha256 = seed // 10 in hex
+STUB_RUN = """
+import argparse, json
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    p.add_argument(flag)
+args = p.parse_args()
+names = [m["name"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
+print("env " + json.dumps({"src_sha256": f"{int(args.seed) // 10:016x}"}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {name: {"value": 1.0, "unit": "s"} for name in names}}))
+"""
+
+
+@pytest.mark.parametrize("seeds,digest", [("1,2", "0" * 16), ("1,12", None)])
+def test_bench_record_takes_the_digest_its_runs_report(tmp_path, seeds, digest):
+    checkout, out = tmp_path / "checkout", tmp_path / "out"
+    (checkout / "perfbench").mkdir(parents=True)
+    out.mkdir()
+    (checkout / "perfbench" / "run.py").write_text(STUB_RUN)
+    (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    git = ["git", "-C", str(checkout), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "stub"], check=True)
+    done = run_script("bench_record.py", "--checkout", str(checkout), "--workload", "figures",
+                      "--seeds", seeds, "--out-dir", str(out))
+    written = list(out.glob("BENCH_*.json"))
+    if digest is None:
+        # the runs measured two different sources: no record can name both
+        assert done.returncode != 0 and "src_sha256" in done.stderr
+        assert written == []
+    else:
+        assert done.returncode == 0, done.stderr
+        (path,) = written
+        assert json.loads(path.read_text())["src_sha256"] == digest
