@@ -170,6 +170,8 @@ def ricker_theta(r: float, k: float) -> float:
     if not (r > 0):
         raise ValueError(f"ricker theta requires r > 0, got {r!r}")
     try:
+        if r == math.inf:
+            raise OverflowError  # expm1(inf)/inf is NaN
         return math.expm1(r / (k + 1.0)) / r
     except OverflowError:
         msg = f"theta = e^(r/(k+1))/r exceeds the float range at r={r!r}, k={k!r}"
@@ -183,6 +185,13 @@ def ricker_theta(r: float, k: float) -> float:
 # L(s) < (k+2) ln 2 - k s. Below the maximum there are therefore exactly two
 # roots, minus in (0, s_t) and plus in (s_t, ((k+2) ln 2 - ln(1+var_eps))/k);
 # at var_eps = 0 the minus root is the trivial r = 0.
+
+
+def _ricker_tangency(k: float) -> float:
+    # s_t = ln((k+1)/k); once 1/k overflows (k below about 5.6e-309) it is -ln k
+    # to the last bit
+    s_t = math.log1p(1.0 / k)
+    return s_t if s_t < math.inf else -math.log(k)
 
 
 def _ricker_log_var(s: float, k: float) -> float:
@@ -214,6 +223,9 @@ def _ricker_root(k: float, log_var: float, pos: float, neg: float) -> float:
         f_neg = _ricker_log_var(neg, k) - log_var
     while True:
         mid = 0.5 * (pos + neg)
+        if mid == math.inf:
+            # pos + neg overflows near the r+ bound at k below about 1.5e-308
+            mid = 0.5 * pos + 0.5 * neg
         if mid == pos or mid == neg:
             return mid
         # L'(neg), without the k - k cancellation of (k+2) e^{-s}/(2 - e^{-s}) - k
@@ -241,7 +253,7 @@ def ricker_noise_bound(k: float, r_max: float = RICKER_DEFAULT_R_MAX) -> float:
     _check_k(k)
     if not (r_max > 0):
         raise ValueError(f"r_max must be > 0, got {r_max!r}")
-    s = min(r_max / (k + 1.0), math.log1p(1.0 / k))
+    s = min(r_max / (k + 1.0), _ricker_tangency(k))
     return math.expm1(_ricker_log_var(s, k))
 
 
@@ -257,16 +269,20 @@ def ricker_solve(
     roots exist but all lie beyond r_max.
     """
     _check_var(var_eps)
-    bound_var = ricker_noise_bound(k, r_max=r_max)  # also checks k and r_max
-    v_max = ricker_noise_bound(k, r_max=math.inf)
+    _check_k(k)
+    s_t = _ricker_tangency(k)
+    log_var_t = _ricker_log_var(s_t, k)  # the maximum of L
+    v_max = math.expm1(log_var_t)
+    # past the tangency the bound is v_max; below it (or at an invalid r_max) ask
+    # ricker_noise_bound, which also checks r_max
+    bound_var = v_max if r_max / (k + 1.0) >= s_t else ricker_noise_bound(k, r_max=r_max)
     if var_eps > v_max:
         raise InfeasibleError(
             f"var_eps={var_eps} exceeds feasibility bound {v_max} for k={k}",
             bound=v_max,
         )
     log_var = math.log1p(var_eps)
-    s_t = math.log1p(1.0 / k)
-    if _ricker_log_var(s_t, k) > log_var:
+    if log_var_t > log_var:
         s_plus = _ricker_root(k, log_var, s_t, ((k + 2.0) * math.log(2.0) - log_var) / k)
         s_minus = _ricker_root(k, log_var, s_t, 0.0) if var_eps > 0.0 else 0.0
     else:

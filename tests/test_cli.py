@@ -119,6 +119,27 @@ class TestSolve:
         _, out, _ = run_cli(capsys, "solve", "--map", "logistic", "--k", "1", "--var-eps", "1e-11")
         assert out.endswith("branch=minus r=1.00000000001 theta=5.000000413651855e-12\n")
 
+    @pytest.mark.parametrize("k", ["1e-308", "8e-309", "5e-324"])
+    def test_ricker_k_at_the_bottom_of_the_float_range(self, k):
+        # the plus root's bracket end nears the float maximum here (at 5e-324 it
+        # is inf): solve and transition hung at the first two k, and at 5e-324
+        # solve read the bound as -1.0 and exited 2
+        def run(*argv):
+            done = subprocess.run(
+                [sys.executable, "-m", "steadychaos.cli", *argv, "--map", "ricker", "--k", k],
+                env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=30,
+            )
+            return done.returncode, done.stdout, done.stderr
+
+        for command in ("solve", "transition"):
+            code, out, err = run(command, "--var-eps", "0")
+            assert (code, out) == (3, "") and "lie beyond r_max=10.0" in err, command
+            code, out, err = run(command, "--var-eps", "0.5")
+            assert (code, err) == (0, "") and "branch=minus r=0.2545631055982288 " in out, command
+        # r+ is inf at 5e-324 and about 1.4e308 to 1.7e308 at the other two k: its theta overflows
+        code, out, err = run("solve", "--var-eps", "0", "--r-max", "inf")
+        assert (code, out) == (3, "") and "theta = e^(r/(k+1))/r exceeds the float range" in err
+
     def test_ricker_root_beyond_rmax_note(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "--map", "ricker", "--k", "0.01", "--var-eps", "0.0", "--r-max", "200"

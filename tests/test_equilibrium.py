@@ -392,6 +392,43 @@ class TestRickerOracles:
         assert abs(branch.r - root) <= 2 * math.ulp(root)
         assert sol.bound_var == pytest.approx(v_max, rel=1e-15)
 
+    @pytest.mark.parametrize("k", (5e-324, 1e-310, 5e-309))
+    def test_v_max_at_subnormal_k_against_mpmath(self, k):
+        # 1/k overflows at each of these k, and the bound read -1.0 there; the
+        # closed form tends to 3 as k -> 0
+        with mpmath.workdps(50):
+            km = mpmath.mpf(k)
+            p = 2 * (km + 1) / (km + 2)
+            v_max = float(((2 / p) * (2 * (p - 1) / p) ** (p - 1)) ** (km + 2) - 1)
+        assert ricker_noise_bound(k, r_max=math.inf) == pytest.approx(v_max, rel=1e-13, abs=0.0)
+        assert v_max == pytest.approx(3.0, rel=1e-12)
+
+    @given(k=st.floats(min_value=5e-324, max_value=sys.float_info.max))
+    @settings(max_examples=300)
+    def test_v_max_is_nonnegative_for_every_k(self, k):
+        assert ricker_noise_bound(k, r_max=math.inf) >= 0.0
+
+    @given(
+        log2_k=st.floats(min_value=-1074.0, max_value=1023.0),
+        log10_ratio=st.floats(min_value=-3.0, max_value=3.0),
+        frac=st.floats(min_value=0.0, max_value=1.2),
+    )
+    @settings(max_examples=300)
+    def test_bounds_are_those_of_ricker_noise_bound(self, log2_k, log10_ratio, frac):
+        # r_max on either side of the tangency r*; bound_var and the infeasible
+        # bound read off the one tangency must be the standalone bounds exactly
+        k = 2.0 ** log2_k
+        r_max = (k + 1.0) * equilibrium._ricker_tangency(k) * 10.0 ** log10_ratio
+        v_max = ricker_noise_bound(k, r_max=math.inf)
+        try:
+            sol = ricker_solve(k, frac * v_max, r_max=r_max)
+        except InfeasibleError as exc:
+            assert exc.bound == v_max
+        except (NoRootError, OverflowError):
+            pass
+        else:
+            assert sol.bound_var == ricker_noise_bound(k, r_max=r_max)
+
     def test_at_bound_both_branches_are_the_tangency(self):
         # v = v_max(1) = 11/16: the double root r* = 2 ln 2
         sol = ricker_solve(1.0, 11.0 / 16.0)
@@ -486,13 +523,14 @@ class TestRickerRoot:
                 self.assert_brackets_a_sign_change(k, v)
 
     def test_figure_grid_takes_under_a_quarter_of_the_bisection_evaluations(self, monkeypatch, tmp_path):
-        # bisection took 31 238 evaluations over the 101-step figures
+        # bisection took 31 238 evaluations over the 101-step figures, and
+        # Newton 5434 while each solve evaluated L at the tangency three times
         calls = self.counting(monkeypatch)
         monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--steps", "101",
                                           "--out-dir", str(tmp_path)])
         runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"),
                        run_name="__main__")
-        assert 0 < calls[0] <= 7500
+        assert 0 < calls[0] <= 4700
 
     def test_tiny_noise_takes_a_few_evaluations(self, monkeypatch):
         # bisection took 1104: the minus root is about 1e-300
@@ -506,8 +544,28 @@ class TestRickerRoot:
         ricker_solve(k, 0.0)
         newton = calls[0]
         f = lambda s: equilibrium._ricker_log_var(s, k)
-        # the two noise bounds and the test at the tangency come first either way
-        assert newton <= 3 + _bisection_calls(f, math.log1p(1.0 / k), (k + 2.0) * math.log(2.0) / k)
+        # the one evaluation at the tangency comes first either way
+        assert newton <= 1 + _bisection_calls(f, math.log1p(1.0 / k), (k + 2.0) * math.log(2.0) / k)
+
+    @pytest.mark.parametrize("k,v", [(0.01, 0.3), (1.0, 0.0), (1.0, 0.5), (1.0, 11.0 / 16.0),
+                                     (100.0, 1e-300), (1e300, 0.0), (1e-310, 0.5), (5e-324, 0.0)])
+    @pytest.mark.parametrize("r_max", [math.inf, 10.0, 0.5])
+    def test_one_evaluation_at_the_tangency_per_solve(self, monkeypatch, k, v, r_max):
+        s_t = equilibrium._ricker_tangency(k)
+        at = []
+        log_var = equilibrium._ricker_log_var
+        monkeypatch.setattr(equilibrium, "_ricker_log_var", lambda s, k: at.append(s == s_t) or log_var(s, k))
+        bounds = []
+        noise_bound = equilibrium.ricker_noise_bound
+        monkeypatch.setattr(equilibrium, "ricker_noise_bound",
+                            lambda *a, **kw: bounds.append(a) or noise_bound(*a, **kw))
+        try:
+            ricker_solve(k, v, r_max=r_max)
+        except (NoRootError, OverflowError):
+            pass
+        # the noise bound at r_max evaluates L there, below the tangency
+        assert sum(at) == 1
+        assert len(bounds) == (r_max < (k + 1.0) * s_t)
 
 
 class TestRickerTheta:
@@ -520,6 +578,12 @@ class TestRickerTheta:
             ricker_theta(0.0, 1.0)
         with pytest.raises(ValueError):
             ricker_theta(-1.0, 1.0)
+
+    @pytest.mark.parametrize("k", (5e-324, 1.0))
+    def test_infinite_r_is_named_overflow(self, k):
+        # expm1(inf)/inf was a silent NaN
+        with pytest.raises(OverflowError, match="exceeds the float range at r=inf"):
+            ricker_theta(math.inf, k)
 
     def test_mean_stationarity_via_laplace(self):
         sol = ricker_solve(1.0, 0.0)
