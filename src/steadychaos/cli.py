@@ -94,9 +94,13 @@ def cmd_solve(args) -> int:
             f"branch={b.label} r={_fmt(b.r)} theta={_fmt(b.theta)}"
             + (" degenerate" if b.degenerate else "")
         )
-    if sol.roots_beyond_rmax:
-        print(f"note: residual still positive at r_max={_fmt(args.r_max)}; roots may exist beyond it")
+    _note_roots_beyond(sol, args.r_max)
     return EXIT_OK
+
+
+def _note_roots_beyond(sol: equilibrium.EquilibriumSolution, r_max: float) -> None:
+    if sol.roots_beyond_rmax:
+        print(f"note: residual still positive at r_max={_fmt(r_max)}; roots may exist beyond it")
 
 
 def cmd_scan(args) -> int:
@@ -214,6 +218,7 @@ def cmd_transition(args) -> int:
             f"branch={label} r={_fmt(regime.r)} regime={regime.regime} "
             f"lyapunov={_fmt(regime.lyapunov)}{suffix}"
         )
+    _note_roots_beyond(report.solution, equilibrium.RICKER_DEFAULT_R_MAX)
     return EXIT_OK
 
 

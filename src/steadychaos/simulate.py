@@ -3,15 +3,16 @@
 Randomness comes from PCG64DXSM streams (O'Neill, HMC-CS-2014-0905) keyed by
 (seed, index) through numpy's ``SeedSequence`` spawn keys. Both Monte Carlo
 paths, the ensemble and the one-step stationarity sample, run on one keyed
-chunk pipeline. Chunk c holds trajectories [c*CHUNK, min((c+1)*CHUNK, n)),
-draws from stream c, steps its rows time-major and reduces them where they
-were drawn, to partial moments per time: count, mean and the central sums
-M2, M3 and M4. The partials merge in chunk order by the pairwise
-formulas of Chan, Golub & LeVeque (1979) and Pebay (SAND2008-6212). One chunk
-runs on the calling thread; more run on a thread pool over the cores this
-process may use. Which variates a trajectory gets, and the order of every
-sum, depend only on the seed and its index, never on the thread or core
-count; memory is about cores * CHUNK * (t_max+1) floats, whatever n is.
+chunk pipeline, ``_chunked``. Chunk c holds trajectories
+[c*CHUNK, min((c+1)*CHUNK, n)): it opens stream c, the path draws and steps
+its rows time-major, and the chunk is reduced where it was drawn, to partial
+moments per time: count, mean and the central sums M2, M3 and M4. The
+partials merge in chunk order by the pairwise formulas of Chan, Golub &
+LeVeque (1979) and Pebay (SAND2008-6212). One chunk runs on the calling
+thread; more run on a thread pool over the cores this process may use.
+Which variates a trajectory gets, and the order of every sum, depend only
+on the seed and its index, never on the thread or core count; memory is
+about cores * CHUNK * (t_max+1) floats, whatever n is.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import maps
-from .equilibrium import Branch, EquilibriumSolution, NoiseFamily, NoiseSpec, solve
+from .equilibrium import (RICKER_DEFAULT_R_MAX, Branch, EquilibriumSolution, NoiseFamily, NoiseSpec,
+                          NoRootError, solve)
 from .gamma_core import GammaParams
 from .maps import MapKind
 
@@ -215,10 +216,16 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _chunked(n: int, chunk: Callable[[int, int], _Moments]) -> _Moments:
-    """``chunk(c, rows)`` over the chunks of n trajectories, merged in chunk
-    order: on the calling thread for one chunk, on a thread pool over the
-    available cores for more."""
+def _chunked(n: int, seed: int, draw: Callable[[np.random.Generator, int], np.ndarray]) -> _Moments:
+    """Partial moments of n trajectories, chunk by chunk. Chunk c of ``rows``
+    trajectories opens stream ``trajectory_rng(seed, c)``, takes
+    ``draw(rng, rows)``, one row per time and one column per kept trajectory,
+    and reduces it; the partials merge in chunk order, on the calling thread
+    for one chunk, on a thread pool over the available cores for more."""
+
+    def chunk(c: int, rows: int) -> _Moments:
+        return _reduce(draw(trajectory_rng(seed, c), rows))
+
     sizes = [min(CHUNK, n - lo) for lo in range(0, n, CHUNK)]
     if len(sizes) == 1:
         return chunk(0, sizes[0])
@@ -244,13 +251,13 @@ def run_ensemble(
     """Ensemble of independent trajectories, drawn and reduced chunk by chunk.
 
     Chunk c holds trajectories [c*CHUNK, min((c+1)*CHUNK, n_traj)) and draws
-    from ``trajectory_rng(seed, c)``: first its start points when ``init`` is
-    ``GammaParams`` (a float ``init`` is a point mass), then one noise variate
-    per trajectory at each step. Each chunk steps a (t_max+1, rows) block and
-    reduces its survivors to partial moments, which merge in chunk order, so
-    memory holds one block per core. Trajectories that exit the admissible
-    region are counted in ``extinct_fraction`` and excluded from all moment
-    estimates; DivergenceError when fewer than two stay, since a mean needs two.
+    from stream c: first its start points when ``init`` is ``GammaParams`` (a
+    float ``init`` is a point mass), then one noise variate per trajectory at
+    each step. Each chunk steps its own (t_max+1, rows) block, freed once its
+    survivors are reduced, so memory holds about one block per busy core.
+    Trajectories that exit the admissible region are counted in
+    ``extinct_fraction`` and excluded from all moment estimates;
+    DivergenceError when fewer than two stay, since a mean needs two.
     """
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
@@ -258,16 +265,8 @@ def run_ensemble(
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     gamma_init = isinstance(init, GammaParams)
 
-    # each thread steps all its chunks in one block: a block allocated and
-    # freed per chunk raised the peak RSS of 10^6 trajectories by another 4 %
-    # of a block in some runs, as malloc moved its mmap threshold
-    blocks = threading.local()
-
-    def chunk(c: int, rows: int) -> _Moments:
-        rng = trajectory_rng(seed, c)
-        if not hasattr(blocks, "values"):
-            blocks.values = np.empty((t_max + 1, min(CHUNK, n_traj)))
-        values = blocks.values[:, :rows]
+    def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
+        values = np.empty((t_max + 1, rows))
         values[0] = rng.gamma(init.k, init.theta, size=rows) if gamma_init else float(init)
         _iterate(map, values, (noise_draw(noise, rng, size=rows) for _ in range(t_max)))
         alive = maps.in_open_domain(map.kind, values[-1])
@@ -275,9 +274,9 @@ def run_ensemble(
         if kept < rows:
             for row in values:  # survivors to the front of each time's row
                 row[:kept] = row[alive]
-        return _reduce(values[:, :kept])
+        return values[:, :kept]
 
-    p = _chunked(n_traj, chunk)
+    p = _chunked(n_traj, seed, draw)
     if p.n < 2:
         raise maps.DivergenceError(f"the {map.kind} ensemble at variance level {noise.variance!r} "
                                    f"kept {p.n} of {n_traj} trajectories in the open domain "
@@ -289,6 +288,9 @@ def _pick_branch(sol: EquilibriumSolution, branch: str) -> Branch:
     for b in sol.branches:
         if b.label == branch:
             return b
+    if sol.roots_beyond_rmax:  # then the missing branch is r+, past r_max
+        raise NoRootError(f"the {branch!r} root of the Ricker equilibrium lies beyond "
+                          f"r_max={RICKER_DEFAULT_R_MAX}", r_lo=0.0, r_hi=RICKER_DEFAULT_R_MAX)
     raise ValueError(f"no {branch!r} branch among {[b.label for b in sol.branches]}")
 
 
@@ -308,8 +310,7 @@ def stationarity_check(
     z-scores the sample mean against k*theta and the sample variance against
     k*theta^2; the report carries both sample moments next to their targets.
     The sample runs on ``run_ensemble``'s chunk pipeline: chunk c draws its
-    starts, then its noise, from ``trajectory_rng(seed, c)``, and reduces its
-    one-step values, all of them kept, where it drew them.
+    starts, then its noise, from stream c, and keeps every one-step value.
     ``r_offset`` perturbs the solved growth rate (negative control).
     FloatingPointError when the sample has no spread, as at extreme k.
     """
@@ -322,13 +323,12 @@ def stationarity_check(
     maps.check(map_kind, r)
     noise = NoiseSpec(var_eps, family)
 
-    def chunk(c: int, rows: int) -> _Moments:
-        rng = trajectory_rng(seed, c)
+    def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
         x1 = maps.step(map_kind, r, rng.gamma(k, b.theta, size=rows))
         x1 *= noise_draw(noise, rng, size=rows)
-        return _reduce(x1[None, :])
+        return x1[None, :]
 
-    mean, variance, se_mean, se_variance = (s[0] for s in _stats(_chunked(n_traj, chunk)))
+    mean, variance, se_mean, se_variance = (s[0] for s in _stats(_chunked(n_traj, seed, draw)))
     target_mean, target_variance = k * b.theta, k * b.theta**2
     if not (se_mean > 0.0 and se_variance > 0.0):
         raise FloatingPointError(f"the one-step sample of n_traj={n_traj} has no spread, so the z-test "

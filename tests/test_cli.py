@@ -324,6 +324,17 @@ class TestStationarity:
         assert err == ("numerical failure: the one-step sample of n_traj=1000 has no spread, so "
                        f"the z-test is undefined: mean {mean}, k*theta {k_theta}\n")
 
+    def test_plus_root_beyond_r_max_is_3_and_named(self, capsys):
+        # solve --r-max 1000 finds r+ = 99.76; stationarity solves up to r_max = 10
+        code, out, err = run_cli(capsys, "stationarity", "--map", "ricker", "--k", "0.01", "--var-eps", "0.5")
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: the 'plus' root of the Ricker equilibrium lies beyond r_max=10.0\n"
+
+    def test_trivial_minus_branch_is_usage(self, capsys):
+        code, out, err = run_cli(capsys, "stationarity", "--map", "ricker", "--k", "1", "--var-eps", "0",
+                                 "--branch", "minus")
+        assert (code, out, err) == (1, "", "error: no 'minus' branch among ['plus']\n")
+
     @pytest.mark.parametrize("n_traj", ["0", "1"])
     def test_fewer_than_two_samples_is_usage(self, capsys, n_traj):
         code, out, err = run_cli(
@@ -593,6 +604,17 @@ class TestTransition:
                 r = float(row["r"])
                 want = math.log(abs(2.0 - r)) if kind == "logistic" else math.log(abs(1.0 - r))
                 assert float(row["lyapunov"]) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_root_beyond_rmax_note(self, capsys):
+        # r+ = 99.76 lies past r_max = 10: the note follows the one branch line, as in solve
+        code, out, err = run_cli(capsys, "transition", "--map", "ricker", "--k", "0.01", "--var-eps", "0.5")
+        assert (code, err) == (0, "")
+        note = "note: residual still positive at r_max=10.0; roots may exist beyond it"
+        assert out.splitlines()[0] == "NO TRANSITION"
+        assert out.splitlines()[1].startswith("branch=minus r=0.2575235816063039 regime=stable_fixed")
+        assert out.splitlines()[2:] == [note]
+        code, solved, _ = run_cli(capsys, "solve", "--map", "ricker", "--k", "0.01", "--var-eps", "0.5")
+        assert code == 0 and solved.splitlines()[-1] == note
 
     def test_period_80_branch(self, capsys):
         # the k = 2.6 root settles on a cycle of period 80

@@ -156,6 +156,13 @@ def test_only_the_chunk_runner_starts_threads():
     assert outermost_callers(starters) == {"simulate._chunked"}
 
 
+@pytest.mark.parametrize("name", ["trajectory_rng", "_reduce"])
+def test_only_the_chunk_runner_opens_and_reduces_a_chunk(name):
+    """Each Monte Carlo chunk has one owner: ``simulate._chunked`` opens its
+    stream and reduces what the path's draw returns; no path does either."""
+    assert outermost_callers({name}) == {"simulate._chunked"}
+
+
 def test_importing_the_cli_does_not_import_concurrent_futures():
     """``concurrent.futures`` takes 6-8 ms to import, so ``simulate._chunked``
     imports it when it first needs a pool, not at CLI start-up."""

@@ -10,6 +10,7 @@ from steadychaos import (
     GammaParams,
     MapSpec,
     NoiseSpec,
+    NoRootError,
     laplace_moment,
     logistic_solve,
     noise_draw,
@@ -604,6 +605,20 @@ class TestStationarity:
     def test_rejects_small_sample(self, n_traj):
         with pytest.raises(ValueError, match="n_traj must be >= 2"):
             stationarity_check("logistic", 2.0, 0.1, "plus", n_traj=n_traj, seed=1)
+
+    def test_plus_root_beyond_r_max_is_no_root(self):
+        # r+ = 99.76 exists but lies past the default r_max = 10; only r- is solved
+        assert ricker_solve(0.01, 0.5, r_max=1000.0).branches[0].r > 10.0
+        with pytest.raises(NoRootError, match=r"^the 'plus' root of the Ricker equilibrium lies beyond "
+                                              r"r_max=10\.0$") as info:
+            stationarity_check("ricker", 0.01, 0.5, "plus", n_traj=100, seed=1)
+        assert (info.value.r_lo, info.value.r_hi) == (0.0, 10.0)
+        assert stationarity_check("ricker", 0.01, 0.5, "minus", n_traj=1000, seed=1).passed
+
+    def test_trivial_minus_branch_is_a_usage_error(self):
+        # at v = 0 the Ricker r- is the trivial r = 0, not a root beyond r_max
+        with pytest.raises(ValueError, match=r"^no 'minus' branch among \['plus'\]$"):
+            stationarity_check("ricker", 1.0, 0.0, "minus", n_traj=100, seed=1)
 
     def test_degenerate_branch_rejected(self):
         with pytest.raises(ValueError):
