@@ -198,9 +198,12 @@ def bifurcation_scan(
     start = np.full(n_r, maps.DEFAULT_X0[kind])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for phase, rows in maps.blocks(kind, rs, start, (burn_in, lyap_iters, samples_per_r)):
-            escaped = np.logical_or.accumulate(~maps.in_domain(kind, rows), axis=0) | gone
-            rows[escaped] = np.nan
-            gone = escaped[-1]
+            out = ~maps.in_domain(kind, rows)
+            # the bookkeeping only once an orbit leaves: nothing escapes on most grids
+            if gone.any() or out.any():
+                escaped = np.logical_or.accumulate(out, axis=0) | gone
+                rows[escaped] = np.nan
+                gone = escaped[-1]
             if phase == 1:
                 sums.append(maps.lyapunov_terms(kind, rs, rows).sum(axis=0))
                 sizes.append(len(rows))

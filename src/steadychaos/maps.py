@@ -10,7 +10,9 @@ them is still an orbit to analyse. A stochastic trajectory lives on the open
 domain: reaching 0 or 1 is extinction and reaching the cap is divergence, so
 the trajectory stops there. NaN is outside both. Every deterministic orbit is
 stepped here: ensembles, scans and recorded orbits by ``blocks``, whose caller
-checks the domain, and only the cycle check's single orbit by ``orbit``.
+checks the domain, and only the cycle check's single orbit by ``orbit``. A block
+that ``blocks`` yields is valid until the generator resumes, and the caller may
+overwrite it without touching the orbit.
 """
 
 from __future__ import annotations
@@ -120,15 +122,35 @@ def orbit_step(kind: MapKind, r, x, y):
 
 def blocks(kind: MapKind, r, x, phases):
     """Step the orbits x (r one or one per orbit) by ``orbit_step``, phases[i] times in
-    phase i; yield (i, the states stepped from) in reused blocks of at most BLOCK rows."""
-    y, block = np.log(x), np.empty((BLOCK, len(x)))
+    phase i; yield (i, the states stepped from) in reused blocks of at most BLOCK rows.
+    ``orbit_step`` written out in place: each step goes into the next row of one
+    block of at most BLOCK + 1 rows by the same operations in the same order."""
+    # no more rows than the longest phase needs: a 21-step orbit builds 21 row pairs, not 200
+    rows = min(BLOCK, max(phases, default=0))
+    block, a = np.empty((rows + 1, len(x))), np.empty(len(x))
+    block[0], y = x, np.log(x)
+    pairs = list(zip(block, block[1:]))
+    # local names: looking up np.<ufunc> on each call costs ~8 % of a step
+    subtract, multiply, add, exp = np.subtract, np.multiply, np.add, np.exp
     for phase, steps in enumerate(phases):
         for start in range(0, steps, BLOCK):
-            rows = block[:min(BLOCK, steps - start)]
-            for row in rows:
-                row[:] = x
-                x, y = orbit_step(kind, r, x, y)
-            yield phase, rows
+            m = min(BLOCK, steps - start)
+            if kind == "ricker":
+                for x_t, x_t1 in pairs[:m]:
+                    subtract(1.0, x_t, a)
+                    multiply(r, a, a)
+                    add(y, a, y)
+                    exp(y, x_t1)
+            elif kind == "logistic":
+                for x_t, x_t1 in pairs[:m]:
+                    multiply(r, x_t, a)
+                    subtract(1.0, x_t, x_t1)
+                    multiply(a, x_t1, x_t1)
+            else:
+                raise ValueError(f"unknown map kind {kind!r}")
+            yield phase, block[:m]
+            # the state after the last row is the next block's first
+            block[0] = block[m]
 
 
 def in_domain(kind: MapKind, x):

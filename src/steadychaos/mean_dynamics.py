@@ -43,6 +43,8 @@ def deterministic_orbit(kind: MapKind, r: float, x0: float, t_max: int) -> np.nd
     stepped by ``maps.blocks`` (Ricker in ln x); ``maps.escaped`` at the first
     step (0 for the start) that leaves the closed domain, overflow included."""
     maps.check(kind, r)
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     out, t = np.empty(t_max + 1), 0
     # a start at or below 0 and the steps from an escape may warn; escapes are caught below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -71,8 +73,11 @@ def convergence_sweep(
     y0 (0.3 logistic, 0.7 Ricker) and variance v, with noise variance v.
     A ``noiseless`` level (0, or so small that 1/v overflows) is exact: the
     point mass y0 without noise is the orbit itself. DivergenceError when the orbit escapes, or (from ``run_ensemble``) fewer
-    than two trajectories of a level stay in the domain.
+    than two trajectories of a level stay in the domain. ValueError, before any
+    work, for t_max < 1 (``run_ensemble``'s bound), noiseless levels included.
     """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
     levels = [float(v) for v in ladder]
     for a, b in zip(levels, levels[1:]):
         if not (b < a):

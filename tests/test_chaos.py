@@ -66,6 +66,8 @@ class TestDerivative:
             maps.step("henon", 2.0, 0.5)
         with pytest.raises(ValueError):
             maps.derivative("henon", 2.0, 0.5)
+        with pytest.raises(ValueError):
+            list(maps.blocks("henon", 2.0, np.array([0.5]), (1,)))
 
 
 class TestSharedKernel:
@@ -233,6 +235,56 @@ class TestSharedKernel:
                 assert chaos._attracting_cycle(kind, r, x0, p_max) == want
 
         check()
+
+    @staticmethod
+    def _kernel_blocks(kind, r, x, phases):
+        """[(phase, states stepped from)] of maps.blocks, by a loop of
+        maps.orbit_step that cuts each phase into runs of maps.BLOCK rows."""
+        y, want = np.log(x), []
+        for phase, steps in enumerate(phases):
+            for start in range(0, steps, maps.BLOCK):
+                rows = []
+                for _ in range(min(maps.BLOCK, steps - start)):
+                    rows.append(x)
+                    x, y = maps.orbit_step(kind, r, x, y)
+                want.append((phase, np.array(rows)))
+        return want
+
+    # starts on 0, 1 and NaN; per orbit, logistic r > 4 leaves [0, 1] and Ricker
+    # r = 750 from 1e-17 steps past e^709.78, which overflows to inf. The phases
+    # hold an empty phase, lengths that are no multiple of maps.BLOCK, and
+    # (3, 7) a block shorter than maps.BLOCK
+    @pytest.mark.parametrize("kind,r,x0", [
+        ("logistic", 3.9, [0.37, 0.5, 0.0, 1.0, math.nan]),
+        ("logistic", np.array([2.5, 3.57, 3.9, 4.0, 4.3]), [0.37, 0.1, 0.8, 0.2, 0.37]),
+        ("ricker", 3.0, [0.7, 1e-300, 2.0, 0.0, math.nan]),
+        ("ricker", np.array([2.0, 9.146311040868133, 20.0, 750.0, 750.0]), [0.7, 0.7, 0.7, 1e-17, 0.3]),
+    ], ids=["logistic", "logistic_per_orbit", "ricker", "ricker_per_orbit"])
+    @pytest.mark.parametrize("phases", [(0, 450, 7), (200, 1, 401), (3, 7)])
+    @pytest.mark.parametrize("overwrite", [False, True], ids=["read", "nan_written"])
+    def test_blocks_are_the_kernel(self, kind, r, x0, phases, overwrite):
+        # bit for bit, NaN included; a caller that writes NaN into each block
+        # it is handed (as bifurcation_scan does) changes no later state
+        x = np.array(x0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = self._kernel_blocks(kind, r, x, phases)
+            got = []
+            for phase, rows in maps.blocks(kind, r, x, phases):
+                got.append((phase, rows.copy()))
+                if overwrite:
+                    rows[:] = np.nan
+        assert [phase for phase, _ in got] == [phase for phase, _ in want]
+        for (_, rows), (_, ref) in zip(got, want):
+            assert rows.shape == ref.shape and rows.tobytes() == ref.tobytes()
+        # the start is not written to; per orbit, logistic r = 4.3 leaves [0, 1]
+        # and Ricker r = 750 overflows on its first step
+        assert np.array_equal(x, x0, equal_nan=True)
+        if isinstance(r, np.ndarray):
+            states = np.concatenate([rows for _, rows in got])
+            if kind == "logistic":
+                assert not maps.in_domain(kind, states[1:, 4]).all()
+            else:
+                assert states[1, 3] == math.inf
 
 
 class TestLyapunov:
@@ -530,15 +582,17 @@ class TestClassify:
 def _reference_scan(kind, r_min, r_max, n_r, samples_per_r, burn_in, lyap_iters):
     """(rs, exponents, standard errors, samples by grid point, escape step per
     point or -1), stepping all points one step at a time: a point is NaN from
-    the step on which it leaves the domain. The lyapunov_terms of each step
-    are kept, summed over each run of maps.BLOCK averaging steps, and the
-    standard error is that of the run means (batch means, weighted by run
-    length)."""
+    the step on which it leaves the domain, 0 for the start. The
+    lyapunov_terms of each step are kept, summed over each run of maps.BLOCK
+    averaging steps, and the standard error is that of the run means (batch
+    means, weighted by run length)."""
     rs = np.linspace(r_min, r_max, n_r)
     x = np.full(n_r, maps.DEFAULT_X0[kind])
-    y = np.log(x)
     terms, samples, escape = np.empty((lyap_iters, n_r)), np.empty((n_r, samples_per_r)), np.full(n_r, -1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = np.log(x)
+        escape[~maps.in_domain(kind, x)] = 0
+        x[escape == 0] = np.nan
         for t in range(burn_in + lyap_iters + samples_per_r):
             if t >= burn_in + lyap_iters:
                 samples[:, t - burn_in - lyap_iters] = x
@@ -562,6 +616,9 @@ class TestBifurcationScan:
         # escapes in all three phases; several blocks in each Ricker phase
         ("logistic", 3.9, 4.3, 81, 450, 3, 21, True),
         ("ricker", 1.0, 40.0, 100, 450, 301, 457, True),
+        # nothing escapes in the first block: the first escape is at step 284,
+        # the orbits then lie at 0, inside the domain
+        ("ricker", 17.0, 25.0, 9, 450, 300, 457, True),
         # superstable at r = 2, giving an exponent of -inf
         ("logistic", 2.0, 4.0, 9, 5, 1_000, 5_000, False),
         # Ricker orbits that dip below e^-745
@@ -574,7 +631,7 @@ class TestBifurcationScan:
                                                        burn_in, lyap_iters)
         assert [rec.r for rec in recs] == list(rs)
         assert np.array_equal([rec.lyapunov for rec in recs], lam, equal_nan=True)
-        assert [rec.se for rec in recs] == pytest.approx(list(se), rel=1e-12, nan_ok=True)
+        assert np.array_equal([rec.se for rec in recs], se, equal_nan=True)
         # NaN with one block (lyap_iters <= BLOCK), at -inf and after an escape
         assert np.isnan(se).all() == (lyap_iters <= maps.BLOCK)
         assert np.array_equal([rec.samples for rec in recs], samples, equal_nan=True)
@@ -583,6 +640,18 @@ class TestBifurcationScan:
         assert set(phases) == ({0, 1, 2} if escapes else set())
         # f'(x*) = 0 at the fixed point x* = 1/2 of logistic r = 2 and x* = 1 of Ricker r = 1
         assert (lam[0] == -math.inf) == ((kind, r_min) in {("logistic", 2.0), ("ricker", 1.0)})
+
+    @pytest.mark.parametrize("kind,x0", [("logistic", 1.5), ("ricker", math.nan)])
+    def test_escaped_start_matches_per_step_reference(self, monkeypatch, kind, x0):
+        # a start outside the domain: every point is NaN from step 0 on
+        monkeypatch.setitem(maps.DEFAULT_X0, kind, x0)
+        args = (kind, 2.0, 3.0, 5, 450, 300, 457)
+        recs = bifurcation_scan(*args)
+        rs, lam, se, samples, escape = _reference_scan(*args)
+        assert (escape == 0).all() and np.isnan(lam).all()
+        assert np.array_equal([rec.lyapunov for rec in recs], lam, equal_nan=True)
+        assert np.array_equal([rec.se for rec in recs], se, equal_nan=True)
+        assert np.array_equal([rec.samples for rec in recs], samples, equal_nan=True)
 
     @pytest.mark.parametrize("arg,value", [
         ("burn_in", -1), ("lyap_iters", 0), ("samples_per_r", -1),

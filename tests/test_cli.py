@@ -684,6 +684,16 @@ class TestConverge:
         assert code == 1 and out == ""
         assert "growth rate" in err
 
+    @pytest.mark.parametrize("ladder,t_max", [("1e-2", "-3"), ("0", "-1"), ("0", "0"), ("1e-2,0", "0")])
+    def test_t_max_below_one_is_usage(self, capsys, ladder, t_max):
+        # -3 used to print numpy's "negative dimensions are not allowed", and
+        # the noiseless ladder 0 to print 0.0,0.0 and exit 0
+        code, out, err = run_cli(
+            capsys, "converge", "--map", "logistic", "--r", "2.0", "--ladder", ladder,
+            "--t-max", t_max, "--n-traj", "100",
+        )
+        assert (code, out, err) == (1, "", f"error: t_max must be >= 1, got {t_max}\n")
+
     def test_bad_ladder_is_usage(self, capsys):
         code, _, _ = run_cli(
             capsys, "converge", "--map", "logistic", "--r", "2.0",

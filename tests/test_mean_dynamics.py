@@ -14,6 +14,7 @@ from steadychaos import (
     deterministic_orbit,
     laplace_moment,
     maps,
+    mean_dynamics,
     mean_update,
     noise_draw,
     raw_moment,
@@ -107,6 +108,13 @@ class TestDeterministicOrbit:
     def test_length_and_start(self):
         orbit = deterministic_orbit("ricker", 1.0, 0.3, 7)
         assert len(orbit) == 8 and orbit[0] == 0.3
+        assert deterministic_orbit("logistic", 2.0, 0.3, 0).tolist() == [0.3]
+
+    @pytest.mark.parametrize("t_max", [-1, -3])
+    def test_rejects_negative_t_max(self, t_max):
+        # -1 used to give an empty orbit, and -3 numpy's "negative dimensions"
+        with pytest.raises(ValueError, match=f"^t_max must be >= 0, got {t_max}$"):
+            deterministic_orbit("logistic", 2.0, 0.3, t_max)
 
     def test_ricker_overflow_is_named(self):
         # the first step needs e^{750 * 0.99}, past the float range
@@ -179,6 +187,16 @@ class TestConvergenceSweep:
             convergence_sweep("logistic", 2.0, [1e-4, 1e-3], t_max=5)
         with pytest.raises(ValueError):
             convergence_sweep("logistic", 2.0, [1e-3, -1e-4], t_max=5)
+
+    @pytest.mark.parametrize("ladder", [[0.0], [1e-2], [1e-2, 0.0]])
+    @pytest.mark.parametrize("t_max", [0, -1, -3])
+    def test_rejects_t_max_below_one_before_any_work(self, monkeypatch, ladder, t_max):
+        # a noiseless ladder runs no ensemble, so run_ensemble's bound is checked up front
+        def orbit(*args):
+            raise AssertionError("the orbit was stepped")
+        monkeypatch.setattr(mean_dynamics, "deterministic_orbit", orbit)
+        with pytest.raises(ValueError, match=f"^t_max must be >= 1, got {t_max}$"):
+            convergence_sweep("logistic", 2.0, ladder, t_max=t_max, n_traj=100)
 
     @pytest.mark.parametrize("kind,r", [("logistic", 2.5), ("ricker", 1.5)])
     def test_deviation_decreases_along_ladder(self, kind, r):

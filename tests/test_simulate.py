@@ -672,12 +672,12 @@ def test_ensemble_memory_is_bounded_by_the_chunk():
     """10^6 Ricker trajectories x 50 steps from a Gamma start, in a fresh
     process. The baseline is the peak RSS after import and a one-step run over
     a chunk per core, which starts the pool's threads. What the full run adds
-    above it must fit in CHUNK float64 columns of t_max+1 = 51 rows, the
-    thread's block, plus 4 rows of working arrays per core: noise, the step's
-    temporaries and the reduction's scratch take about 2.1 rows, and malloc's
-    placement moves the peak by up to 1.5 more. That is 55 MiB on two cores,
-    where the whole (n, t_max+1) matrix would be 389 MiB and the run needed
-    about 1.2 GB."""
+    above it must fit in one chunk's block per busy core, CHUNK float64
+    columns of t_max+1 = 51 rows, plus 4 rows of working arrays per core:
+    noise, the step's temporaries and the reduction's scratch take about 2.1
+    rows, and malloc's placement moves the peak by up to 1.5 more. That is
+    55 MiB on two cores, where the whole (n, t_max+1) matrix would be 389 MiB
+    and the run needed about 1.2 GB."""
     import json
     import os
     import subprocess
