@@ -35,7 +35,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class RegimeReport:
-    kind: MapKind
     r: float
     lyapunov: float
     regime: str  # stable_fixed | periodic | chaotic | divergent | marginal
@@ -48,12 +47,9 @@ class RegimeReport:
 
 @dataclass(frozen=True)
 class TransitionReport:
-    kind: MapKind
-    k: float
-    var_eps: float
     branches: tuple[tuple[str, RegimeReport], ...]  # (branch label, report)
     transition_found: bool
-    solution: EquilibriumSolution
+    solution: EquilibriumSolution  # holds the map, k and var_eps
 
 
 def _check_count(name: str, value: int, least: int) -> None:
@@ -116,12 +112,10 @@ def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optiona
     steps, or None; DivergenceError on escape. Closure is in x (logistic) or
     y = ln x (Ricker, whose x underflows to 0); -inf means superstable."""
     y = math.log(x0) if x0 > 0.0 else -math.inf
-    x, y = maps.orbit(kind, r, x0, y, _CYCLE_TRANSIENT)
-    xs, zs = [x], [y if kind == "ricker" else x]
-    for _ in range(2 * p_max):
-        x, y = maps.orbit(kind, r, x, y, 1)
-        xs.append(x)
-        zs.append(y if kind == "ricker" else x)
+    states = [maps.orbit(kind, r, x0, y, _CYCLE_TRANSIENT)]
+    maps.orbit(kind, r, *states[0], 2 * p_max, states)
+    xs = [x for x, _ in states]
+    zs = [y for _, y in states] if kind == "ricker" else xs
     for p in range(1, p_max + 1):
         # equal states close too: y = -inf on Ricker's extinct fixed point
         a, b, c = zs[0], zs[p], zs[2 * p]
@@ -151,12 +145,12 @@ def classify(kind: MapKind, r: float, iters: int = DEFAULT_ITERS) -> RegimeRepor
         if cycle is not None and cycle[1] < -_LYAP_TOL:
             period, lam = cycle
             regime = "stable_fixed" if period == 1 else "periodic"
-            return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, period=period)
+            return RegimeReport(r=r, lyapunov=lam, regime=regime, period=period)
         lam, se, n = _ensemble_exponent(kind, r, start, DEFAULT_BURN_IN, iters)
     except DivergenceError:
-        return RegimeReport(kind=kind, r=r, lyapunov=float("nan"), regime="divergent")
+        return RegimeReport(r=r, lyapunov=float("nan"), regime="divergent")
     regime = "chaotic" if lam > _LYAP_TOL and lam > _Z * se else "marginal"
-    return RegimeReport(kind=kind, r=r, lyapunov=lam, regime=regime, se=se, iters=n)
+    return RegimeReport(r=r, lyapunov=lam, regime=regime, se=se, iters=n)
 
 
 @dataclass(frozen=True)
@@ -226,7 +220,4 @@ def transition_report(kind: MapKind, k: float, var_eps: float) -> TransitionRepo
     sol = solve(kind, k, var_eps)
     classified = tuple((b.label, classify(kind, b.r)) for b in sol.branches)
     found = any(report.regime == "chaotic" for _, report in classified)
-    return TransitionReport(
-        kind=kind, k=k, var_eps=var_eps, branches=classified,
-        transition_found=found, solution=sol,
-    )
+    return TransitionReport(branches=classified, transition_found=found, solution=sol)

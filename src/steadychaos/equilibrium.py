@@ -98,13 +98,19 @@ def logistic_noise_bound(k: float) -> float:
 
 
 def logistic_quadratic_residual(r: float, k: float, var_eps: float) -> float:
-    """Residual of the equilibrium quadratic in r; zero at r+/r-."""
+    """Residual of the equilibrium quadratic in r; zero at r+/r-. From k = 2^512,
+    where (k+1)^2 overflows, the terms are scaled by 2^-2e (exact) and the sum back;
+    below it e = 0 and the value is the plain quadratic's to the last bit (with pow's
+    square, which is not always x * x)."""
     _check_k(k)
-    return (
-        (k + 3.0) * r * r
-        - (4.0 * k + 8.0) * r
-        + (3.0 * k + 5.0 + var_eps / (var_eps + 1.0) * (k + 1.0) ** 2)
+    e = max(0, math.frexp(k)[1] - 512)
+    c = math.ldexp(1.0, -2 * e)
+    scaled = (
+        (k + 3.0) * c * r * r
+        - (4.0 * (k * c) + 8.0 * c) * r
+        + (3.0 * (k * c) + 5.0 * c + var_eps / (var_eps + 1.0) * math.ldexp(k + 1.0, -e) ** 2)
     )
+    return scaled * 2.0**e * 2.0**e  # 2.0**(2 * e) itself overflows at e = 512
 
 
 def logistic_theta(r: float, k: float) -> float:

@@ -9,16 +9,17 @@ point of both maps and logistic 1 maps onto it, so an orbit that touches
 them is still an orbit to analyse. A stochastic trajectory lives on the open
 domain: reaching 0 or 1 is extinction and reaching the cap is divergence, so
 the trajectory stops there. NaN is outside both. Every deterministic orbit is
-stepped here: ensembles, scans and recorded orbits by ``blocks``, whose caller
-checks the domain, and only the cycle check's single orbit by ``orbit``. A block
-that ``blocks`` yields is valid until the generator resumes, and the caller may
-overwrite it without touching the orbit.
+stepped here, by how many the caller steps: one orbit (the cycle check's, a
+recorded orbit) in the float loop of ``orbit``, which checks the domain, and a
+vector of orbits (ensembles, scans) by ``blocks``, whose caller checks it. A
+block that ``blocks`` yields is valid until the generator resumes, and the
+caller may overwrite it without touching the orbit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -124,10 +125,8 @@ def blocks(kind: MapKind, r, x, phases):
     """Step the orbits x (r one or one per orbit) by ``orbit_step``, phases[i] times in
     phase i; yield (i, the states stepped from) in reused blocks of at most BLOCK rows.
     ``orbit_step`` written out in place: each step goes into the next row of one
-    block of at most BLOCK + 1 rows by the same operations in the same order."""
-    # no more rows than the longest phase needs: a 21-step orbit builds 21 row pairs, not 200
-    rows = min(BLOCK, max(phases, default=0))
-    block, a = np.empty((rows + 1, len(x))), np.empty(len(x))
+    block of BLOCK + 1 rows by the same operations in the same order."""
+    block, a = np.empty((BLOCK + 1, len(x))), np.empty(len(x))
     block[0], y = x, np.log(x)
     pairs = list(zip(block, block[1:]))
     # local names: looking up np.<ufunc> on each call costs ~8 % of a step
@@ -168,9 +167,10 @@ def escaped(kind: MapKind, x0: float, t: int, x: float) -> DivergenceError:
     return DivergenceError(f"{kind} orbit from x0={x0!r} escaped [0, {UPPER[kind]:g}] at step {t}, x={x!r}")
 
 
-def orbit(kind: MapKind, r: float, x: float, y: float, steps: int):
-    """(x, y) after ``steps`` steps of ``orbit_step`` from (x, y = ln x); ``escaped``
-    when the start or a step (overflow included) leaves the closed domain."""
+def orbit(kind: MapKind, r: float, x: float, y: float, steps: int, out: Optional[list] = None):
+    """(x, y) after ``steps`` steps of ``orbit_step`` from (x, y = ln x), each (x, y)
+    stepped to appended to ``out`` if given; ``escaped`` when the start or a step
+    (overflow included) leaves the closed domain."""
     hi, x0 = UPPER[kind], x
     if not 0.0 <= x <= hi:
         raise escaped(kind, x0, 0, x)
@@ -181,12 +181,16 @@ def orbit(kind: MapKind, r: float, x: float, y: float, steps: int):
                 x = r * x * (1.0 - x)
                 if not 0.0 <= x <= hi:
                     raise escaped(kind, x0, t, x)
+                if out is not None:
+                    out.append((x, y))
             return x, y
         for t in range(1, steps + 1):
             y += r * (1.0 - x)
             x = math.exp(y)
             if not 0.0 <= x <= hi:
                 raise escaped(kind, x0, t, x)
+            if out is not None:
+                out.append((x, y))
     except OverflowError:
         # e^y past the float range lands beyond the cap
         raise escaped(kind, x0, t, math.inf) from None

@@ -7,6 +7,7 @@ only through the convergence-order diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,7 +17,7 @@ from . import maps
 from .equilibrium import NoiseSpec
 from .gamma_core import fit_from_moments
 from .maps import MapKind
-from .simulate import MapSpec, noiseless, run_ensemble
+from .simulate import MapSpec, check_n_traj, check_seed, noiseless, run_ensemble
 
 _Y0 = {"logistic": 0.3, "ricker": 0.7}
 
@@ -34,28 +35,21 @@ class MeanState:
 def mean_update(kind: MapKind, r: float, state: MeanState) -> float:
     """One-step mean f(y) + f''(y) Var(X)/2 of an ensemble with mean y: exact for
     the quadratic logistic map, second order in Var(X) for Ricker."""
+    maps.check(kind, r)
     y = state.y
     return maps.step(kind, r, y) + maps.second_derivative(kind, r, y) * state.var_x / 2
 
 
 def deterministic_orbit(kind: MapKind, r: float, x0: float, t_max: int) -> np.ndarray:
     """x_0 .. x_t_max of the deterministic map, the limit of the ensemble mean,
-    stepped by ``maps.blocks`` (Ricker in ln x); ``maps.escaped`` at the first
+    stepped by ``maps.orbit`` from (x0, ln x0); ``maps.escaped`` at the first
     step (0 for the start) that leaves the closed domain, overflow included."""
     maps.check(kind, r)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    out, t = np.empty(t_max + 1), 0
-    # a start at or below 0 and the steps from an escape may warn; escapes are caught below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _, rows in maps.blocks(kind, r, np.array([x0], dtype=float), (t_max + 1,)):
-            out[t:t + len(rows)] = rows[:, 0]
-            t += len(rows)
-    escaped = ~maps.in_domain(kind, out)
-    if escaped.any():
-        t = int(escaped.argmax())
-        raise maps.escaped(kind, x0, t, float(out[t]))
-    return out
+    states = []
+    maps.orbit(kind, r, x0, math.log(x0) if x0 > 0.0 else -math.inf, t_max, states)
+    return np.array([x0] + [x for x, _ in states], dtype=float)
 
 
 def convergence_sweep(
@@ -74,10 +68,12 @@ def convergence_sweep(
     A ``noiseless`` level (0, or so small that 1/v overflows) is exact: the
     point mass y0 without noise is the orbit itself. DivergenceError when the orbit escapes, or (from ``run_ensemble``) fewer
     than two trajectories of a level stay in the domain. ValueError, before any
-    work, for t_max < 1 (``run_ensemble``'s bound), noiseless levels included.
+    work, for a t_max, n_traj or seed that ``run_ensemble`` rejects, noiseless levels included.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
+    check_n_traj(n_traj)
+    check_seed(seed)
     levels = [float(v) for v in ladder]
     for a, b in zip(levels, levels[1:]):
         if not (b < a):

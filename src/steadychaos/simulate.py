@@ -76,13 +76,24 @@ class StationarityReport:
     target_variance: float  # k*theta^2
 
 
+def check_n_traj(n_traj: int) -> None:
+    """Raise ValueError for fewer than two trajectories, since a mean and a spread need two."""
+    if n_traj < 2:
+        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError for a master seed outside [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be >= 0 and < 2**64, got {seed}")
+
+
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """PCG64DXSM stream ``index`` under master ``seed``: the generator seeded
     by ``SeedSequence(seed, spawn_key=(index,))``, so distinct (seed, index)
     pairs hash to independent states; chunk ``index`` of an ensemble or a
     stationarity sample draws from it."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be >= 0 and < 2**64, got {seed}")
+    check_seed(seed)
     if index < 0:
         raise ValueError(f"stream index must be >= 0, got {index}")
     return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(index,))))
@@ -259,8 +270,7 @@ def run_ensemble(
     ``extinct_fraction`` and excluded from all moment estimates;
     DivergenceError when fewer than two stay, since a mean needs two.
     """
-    if n_traj < 2:
-        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
+    check_n_traj(n_traj)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     gamma_init = isinstance(init, GammaParams)
@@ -314,8 +324,7 @@ def stationarity_check(
     ``r_offset`` perturbs the solved growth rate (negative control).
     FloatingPointError when the sample has no spread, as at extreme k.
     """
-    if n_traj < 2:
-        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
+    check_n_traj(n_traj)
     b = _pick_branch(solve(map_kind, k, var_eps), branch)
     if b.degenerate:
         raise ValueError("degenerate branch (theta = 0) cannot be sampled")

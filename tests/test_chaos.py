@@ -105,10 +105,11 @@ class TestSharedKernel:
             assert abs(maps.second_derivative(kind, r, x) - exact) <= tol, x
 
     @staticmethod
-    def _kernel_orbit(kind, r, x0, steps):
+    def _kernel_orbit(kind, r, x0, steps, states):
         """("orbit", x, y) after ``steps`` steps of maps.orbit_step, the kernel
         maps.orbit is written out from, or ("escaped", step, x) at the first
-        state outside the closed domain, x = inf where the step overflowed."""
+        state outside the closed domain, x = inf where the step overflowed;
+        each (x, y) stepped to inside the domain is appended to ``states``."""
         x, y = x0, (math.log(x0) if x0 > 0.0 else -math.inf)
         for t in range(steps + 1):
             if t:
@@ -118,20 +119,26 @@ class TestSharedKernel:
                     return "escaped", t, math.inf
             if not maps.in_domain(kind, x):
                 return "escaped", t, x
+            if t:
+                states.append((x, y))
         return "orbit", x, y
 
     def _check_orbit(self, kind, r, x0, burn_in, iters):
         """maps.orbit against the kernel: the same floats after burn_in +
         iters steps, taken at once or as burn_in steps and then iters more
-        (as the cycle check does); else the escape, named as the kernel's."""
+        (as the cycle check does), and the same states recorded in ``out``
+        up to the end or the escape; the escape named as the kernel's."""
         y0 = math.log(x0) if x0 > 0.0 else -math.inf
-        outcome, *want = self._kernel_orbit(kind, r, x0, burn_in + iters)
+        want_states, states = [], []
+        outcome, *want = self._kernel_orbit(kind, r, x0, burn_in + iters, want_states)
         if outcome == "escaped":
             with pytest.raises(DivergenceError) as err:
-                maps.orbit(kind, r, x0, y0, burn_in + iters)
+                maps.orbit(kind, r, x0, y0, burn_in + iters, states)
             assert str(err.value) == str(maps.escaped(kind, x0, *want))
+            assert states == want_states
             return
-        assert maps.orbit(kind, r, x0, y0, burn_in + iters) == tuple(want)
+        assert maps.orbit(kind, r, x0, y0, burn_in + iters, states) == tuple(want)
+        assert states == want_states
         assert maps.orbit(kind, r, *maps.orbit(kind, r, x0, y0, burn_in), iters) == tuple(want)
 
     @given(

@@ -694,6 +694,19 @@ class TestConverge:
         )
         assert (code, out, err) == (1, "", f"error: t_max must be >= 1, got {t_max}\n")
 
+    @pytest.mark.parametrize("ladder", ["0", "1e-2"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n-traj", "1", "n_traj must be >= 2, got 1"),
+        ("--seed", "-1", "seed must be >= 0 and < 2**64, got -1"),
+    ])
+    def test_ensemble_argument_is_usage_whatever_the_ladder(self, capsys, ladder, flag, value, message):
+        # the noiseless ladder 0 used to print 0.0,0.0 and exit 0
+        code, out, err = run_cli(
+            capsys, "converge", "--map", "logistic", "--r", "2.0", "--ladder", ladder, "--t-max", "5",
+            "--n-traj", "100", flag, value,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_ladder_is_usage(self, capsys):
         code, _, _ = run_cli(
             capsys, "converge", "--map", "logistic", "--r", "2.0",

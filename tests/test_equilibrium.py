@@ -184,6 +184,42 @@ class TestLogisticSolve:
             assert logistic_quadratic_residual(1.0, k, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert logistic_quadratic_residual(2.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1e154, 1e200, 1e300, 1e308, 1.7976931348623157e308])
+    def test_residual_at_huge_k_against_mpmath(self, k):
+        # past k ~ 1.34e154 (k+1)^2 overflowed and the residual raised
+        # OverflowError at these roots; a correct root's residual is about
+        # 1e138 (k = 1e154) to 1e292 (k = 1e308), so it is measured relative to
+        # the largest term
+        bound = logistic_noise_bound(k)
+        for v in (0.0, 1e-301 if k == 1e300 else 0.1 * bound, 0.5 * bound, bound):
+            for b in logistic_solve(k, v).branches:
+                got = logistic_quadratic_residual(b.r, k, v)
+                assert math.isfinite(got), (k, v, b.label)
+                with mpmath.workdps(60):
+                    rm, km, vm = (mpmath.mpf(x) for x in (b.r, k, v))
+                    terms = ((km + 3) * rm * rm, (4 * km + 8) * rm, 3 * km + 5 + vm / (vm + 1) * (km + 1) ** 2)
+                    exact = terms[0] - terms[1] + terms[2]
+                    largest = max(abs(t) for t in terms)
+                    assert abs(got - exact) <= 1e-15 * largest, (k, v, b.label)
+                    assert abs(got) <= 1e-15 * largest, (k, v, b.label)
+
+    @given(
+        log_k=st.floats(min_value=-300.0, max_value=154.1),
+        r=st.floats(min_value=-1e3, max_value=1e3),
+        v=st.floats(min_value=0.0, max_value=1e3),
+    )
+    @settings(max_examples=300)
+    def test_residual_is_the_plain_quadratic_where_that_is_finite(self, log_k, r, v):
+        # the scaling is exact: wherever the unscaled form is finite, so that
+        # self-check's residuals stay as they were, the value is the same float
+        k = 10.0**log_k
+        try:
+            plain = (k + 3.0) * r * r - (4.0 * k + 8.0) * r + (3.0 * k + 5.0 + v / (v + 1.0) * (k + 1.0) ** 2)
+        except OverflowError:
+            return
+        if math.isfinite(plain):
+            assert logistic_quadratic_residual(r, k, v) == plain
+
 
 class TestRickerResidual:
     def test_trivial_root(self):

@@ -85,20 +85,12 @@ def test_only_maps_steps_an_orbit(module):
     assert "orbit_step" not in called_names(module)
 
 
-def test_only_the_cycle_check_steps_a_single_orbit():
-    """``maps.orbit`` settles the orbit of the cycle check and nothing else;
-    every other deterministic orbit, recorded ones included, is stepped by
-    ``maps.blocks``."""
-    callers = {
-        f"{module}.{fn.name}"
-        for module in MODULES
-        for fn in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "orbit"
-    }
-    assert callers == {"chaos._attracting_cycle"}
-    assert "blocks" in called_names("mean_dynamics")
+def test_one_stepper_per_orbit_count():
+    """A single orbit, the cycle check's or a recorded one, is stepped by the
+    float loop of ``maps.orbit``; only vectors of orbits, the ensemble exponent
+    and the scan, go through ``maps.blocks``."""
+    assert outermost_callers({"orbit"}) == {"chaos._attracting_cycle", "mean_dynamics.deterministic_orbit"}
+    assert outermost_callers({"blocks"}) == {"chaos._ensemble_exponent", "chaos.bifurcation_scan"}
 
 
 def test_divergence_error_is_defined_once_in_maps():

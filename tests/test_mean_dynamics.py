@@ -30,6 +30,21 @@ class TestMeanState:
         assert MeanState(0.5, 0.0).var_x == 0.0
 
 
+class TestMeanUpdateChecks:
+    @pytest.mark.parametrize("kind,r,message", [
+        # nan used to give nan, and Ricker r = -1 a finite 0.5285738004564057
+        ("logistic", math.nan, "growth rate r must be finite and > 0, got nan"),
+        ("ricker", -1.0, "growth rate r must be finite and > 0, got -1.0"),
+        ("ricker", 0.0, "growth rate r must be finite and > 0, got 0.0"),
+        ("logistic", math.inf, "growth rate r must be finite and > 0, got inf"),
+        ("tent", 2.0, "unknown map kind 'tent'"),
+    ])
+    def test_rejects_what_maps_check_rejects(self, kind, r, message):
+        with pytest.raises(ValueError) as info:
+            mean_update(kind, r, MeanState(0.5, 0.01))
+        assert str(info.value) == message
+
+
 class TestLogisticUpdate:
     def test_known_value(self):
         assert mean_update("logistic", 2.0, MeanState(0.5, 0.01)) == pytest.approx(0.48, rel=1e-15)
@@ -143,13 +158,13 @@ class TestDeterministicOrbit:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("kind,r,x0", [("ricker", 2.8, 0.7), ("logistic", 3.9, 0.37)])
-    def test_is_the_kernel_across_blocks(self, kind, r, x0):
-        # the steps of maps.orbit_step, Ricker in y = ln x, over three blocks
-        x, y = np.array([x0]), np.log([x0])
+    def test_is_the_float_kernel(self, kind, r, x0):
+        # the float steps of maps.orbit_step, Ricker in y = ln x
+        x, y = x0, math.log(x0)
         want = [x0]
         for _ in range(450):
             x, y = maps.orbit_step(kind, r, x, y)
-            want.append(float(x[0]))
+            want.append(x)
         assert deterministic_orbit(kind, r, x0, 450).tolist() == want
 
     def test_ricker_orbit_near_zero_keeps_its_digits(self):
@@ -197,6 +212,23 @@ class TestConvergenceSweep:
         monkeypatch.setattr(mean_dynamics, "deterministic_orbit", orbit)
         with pytest.raises(ValueError, match=f"^t_max must be >= 1, got {t_max}$"):
             convergence_sweep("logistic", 2.0, ladder, t_max=t_max, n_traj=100)
+
+    @pytest.mark.parametrize("ladder", [[0.0], [1e-2], [1e-2, 0.0]])
+    @pytest.mark.parametrize("n_traj,seed,message", [
+        (1, 0, "n_traj must be >= 2, got 1"),
+        (-5, 0, "n_traj must be >= 2, got -5"),
+        (100, -1, "seed must be >= 0 and < 2**64, got -1"),
+        (100, 2**64, f"seed must be >= 0 and < 2**64, got {2**64}"),
+    ])
+    def test_rejects_ensemble_arguments_before_any_work(self, monkeypatch, ladder, n_traj, seed, message):
+        # a noiseless ladder runs no ensemble, so run_ensemble's checks are made up front;
+        # a noisy one used to step the orbit before it failed
+        def orbit(*args):
+            raise AssertionError("the orbit was stepped")
+        monkeypatch.setattr(mean_dynamics, "deterministic_orbit", orbit)
+        with pytest.raises(ValueError) as info:
+            convergence_sweep("logistic", 2.0, ladder, t_max=5, n_traj=n_traj, seed=seed)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("kind,r", [("logistic", 2.5), ("ricker", 1.5)])
     def test_deviation_decreases_along_ladder(self, kind, r):
