@@ -35,11 +35,6 @@ class InfeasibleError(ValueError):
 class NoRootError(RuntimeError):
     """The equilibrium has roots, but none in the requested interval."""
 
-    def __init__(self, message: str, r_lo: float, r_hi: float):
-        super().__init__(message)
-        self.r_lo = r_lo
-        self.r_hi = r_hi
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -301,11 +296,7 @@ def ricker_solve(
         if 0.0 < r <= r_max
     )
     if not branches:
-        raise NoRootError(
-            f"the roots of the Ricker equilibrium lie beyond r_max={r_max}",
-            r_lo=0.0,
-            r_hi=r_max,
-        )
+        raise NoRootError(f"the roots of the Ricker equilibrium lie beyond r_max={r_max}")
     return EquilibriumSolution(
         map="ricker",
         k=k,

@@ -1,19 +1,20 @@
-"""The two maps, each defined once: logistic r x (1-x) and Ricker x e^{r(1-x)};
-the stochastic maps multiply a step by the noise eps. This bottom layer
-imports nothing from the package. ``x`` and ``r`` may be floats (stepped with
-``math.exp``) or NumPy arrays (``np.exp``).
+"""The two maps, each defined once: logistic r x (1-x) and Ricker x e^{r(1-x)}.
+A stochastic logistic step is f(x) eps; every Ricker orbit and trajectory
+steps y = ln x by ``orbit_step``, a trajectory from y + ln eps. This bottom
+layer imports nothing from the package. ``x`` and ``r`` may be floats
+(stepped with ``math.exp``) or NumPy arrays (``np.exp``).
 
 The domain is [0, 1] for the logistic map and [0, RICKER_X_CAP] for Ricker.
 A deterministic orbit lives on the closed domain: 0 is the extinct fixed
 point of both maps and logistic 1 maps onto it, so an orbit that touches
-them is still an orbit to analyse. A stochastic trajectory lives on the open
-domain: reaching 0 or 1 is extinction and reaching the cap is divergence, so
-the trajectory stops there. NaN is outside both. Every deterministic orbit is
-stepped here, by how many the caller steps: one orbit (the cycle check's, a
-recorded orbit) in the float loop of ``orbit``, which checks the domain, and a
-vector of orbits (ensembles, scans) by ``blocks``, whose caller checks it. A
-block that ``blocks`` yields is valid until the generator resumes, and the
-caller may overwrite it without touching the orbit.
+them is still an orbit to analyse. A stochastic trajectory stops where it
+leaves (0, 1), by extinction, or Ricker's [0, cap), by divergence; a Ricker
+trajectory at 0 stays on that fixed point. NaN is outside both. Every
+deterministic orbit is stepped here, by how many the caller steps: one orbit
+(the cycle check's, a recorded orbit) in the float loop of ``orbit``, which
+checks the domain, and a vector of orbits (ensembles, scans) by ``blocks``,
+whose caller checks it. A block that ``blocks`` yields is valid until the
+generator resumes, and the caller may overwrite it without touching the orbit.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def in_domain(kind: MapKind, x):
 
 
 def in_open_domain(kind: MapKind, x):
-    """x lies in the open domain of a stochastic trajectory."""
-    return (0.0 < x) & (x < UPPER[kind])
+    """x lies in the domain of a stochastic trajectory: (0, 1) logistic, [0, cap) Ricker."""
+    return ((0.0 <= x) if kind == "ricker" else (0.0 < x)) & (x < UPPER[kind])
 
 
 def escaped(kind: MapKind, x0: float, t: int, x: float) -> DivergenceError:

@@ -5,11 +5,11 @@ Randomness comes from PCG64DXSM streams (O'Neill, HMC-CS-2014-0905) keyed by
 paths, the ensemble and the one-step stationarity sample, run on one keyed
 chunk pipeline, ``_chunked``. Chunk c holds trajectories
 [c*CHUNK, min((c+1)*CHUNK, n)): it opens stream c, the path draws and steps
-its rows time-major, and the chunk is reduced where it was drawn, to partial
-moments per time: count, mean and the central sums M2, M3 and M4. The
-partials merge in chunk order by the pairwise formulas of Chan, Golub &
-LeVeque (1979) and Pebay (SAND2008-6212). One chunk runs on the calling
-thread; more run on a thread pool over the cores this process may use.
+its rows time-major (Ricker in ln x, by ``maps.orbit_step``) and reduces
+them where it drew them, to partial moments per time: count, mean and the
+central sums M2, M3 and M4, which merge in chunk order by the pairwise
+formulas of Chan, Golub & LeVeque (1979) and Pebay (SAND2008-6212). One
+chunk runs on the calling thread; more on a thread pool over its cores.
 Which variates a trajectory gets, and the order of every sum, depend only
 on the seed and its index, never on the thread or core count; memory is
 about cores * CHUNK * (t_max+1) floats, whatever n is.
@@ -121,15 +121,20 @@ def noise_draw(spec: NoiseSpec, rng: np.random.Generator, size: int) -> np.ndarr
 
 def _iterate(map: MapSpec, values: np.ndarray, noise: Iterable[np.ndarray]) -> None:
     """Step trajectories in place, time-major: values[0] holds the starts, and
-    values[t+1] gets step t, which takes the next array of ``noise``. A
-    trajectory holds NaN after the step at which it leaves the open domain;
+    values[t+1] gets step t from the next array eps of ``noise``: f(x) eps for
+    the logistic map, ``maps.orbit_step`` from y = ln x plus ln eps for Ricker.
+    A trajectory holds NaN after the step at which it leaves the open domain;
     that step keeps the value that left."""
-    noise = iter(noise)
-    # a step that overflows leaves the domain like any other escape, and the
-    # step from a value that left (inf * e^-inf) is overwritten with NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, row in zip(values, values[1:]):
-            np.multiply(maps.step(map.kind, map.r, x), next(noise), out=row)
+    # a step that overflows leaves the domain like any other escape, the step
+    # from a value that left (inf - inf) is overwritten with NaN, and ln 0 of
+    # a start or variate is -inf, which steps to 0 and stays there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = np.log(values[0])
+        for x, row, eps in zip(values, values[1:], noise):
+            if map.kind == "ricker":
+                row[:], y = maps.orbit_step(map.kind, map.r, x, y + np.log(eps))
+            else:
+                np.multiply(maps.step(map.kind, map.r, x), eps, out=row)
             row[~maps.in_open_domain(map.kind, x)] = np.nan
 
 
@@ -299,8 +304,7 @@ def _pick_branch(sol: EquilibriumSolution, branch: str) -> Branch:
         if b.label == branch:
             return b
     if sol.roots_beyond_rmax:  # then the missing branch is r+, past r_max
-        raise NoRootError(f"the {branch!r} root of the Ricker equilibrium lies beyond "
-                          f"r_max={RICKER_DEFAULT_R_MAX}", r_lo=0.0, r_hi=RICKER_DEFAULT_R_MAX)
+        raise NoRootError(f"the {branch!r} root of the Ricker equilibrium lies beyond r_max={RICKER_DEFAULT_R_MAX}")
     raise ValueError(f"no {branch!r} branch among {[b.label for b in sol.branches]}")
 
 

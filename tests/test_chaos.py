@@ -196,6 +196,18 @@ class TestSharedKernel:
                 + u * np.abs(full).sum() + u * np.abs(y).sum() + 2.0 * u * (np.abs(y).max() + 4.0)
             assert abs(full.sum() - telescoped.sum() - (y[-1] - y[0])) <= tol
 
+    def test_ricker_blocks_meet_the_finite_n_mean_identity(self):
+        # y_{t+1} = y_t + r(1 - x_t) sums to the exact identity
+        # sum_{t<n} x_t = n - (ln x_n - ln x_0)/r, so only rounding separates
+        # the two sides; phase 1 holds x_n
+        r, x0, n = np.linspace(1.5, 3.0, 7), np.full(7, 0.7), 1000
+        phases = {0: [], 1: []}
+        for phase, rows in maps.blocks("ricker", r, x0, (n, 1)):
+            phases[phase].append(rows.copy())
+        x_n = phases[1][0][0]
+        total = np.concatenate(phases[0]).sum(axis=0)
+        assert np.all(np.abs(total - (n - (np.log(x_n) - np.log(x0)) / r)) <= 1e-12 * n)
+
     @staticmethod
     def _kernel_cycle(kind, r, x0, p_max):
         """The closure rule of the cycle check on the maps.orbit_step orbit,

@@ -274,12 +274,30 @@ class TestSimulate:
                 "--n-traj", "10", "--noise-var")
         assert run_cli(capsys, *argv, "1e-320") == run_cli(capsys, *argv, "0")
 
+    def test_small_k_branch_loses_nothing_to_underflow(self, capsys):
+        # the k = 0.2, v = 0.05 plus branch dips below the smallest double,
+        # which a direct step rounded to 0: 6969 of these 10^4 "went extinct"
+        code, _, err = run_cli(
+            capsys, "simulate", "--map", "ricker", "--r", "8.852673963697553", "--noise-var", "0.05",
+            "--init-k", "0.2", "--init-theta", "180.5275178451948", "--t-max", "50",
+            "--n-traj", "10000", "--seed", "1",
+        )
+        assert (code, err) == (0, "extinct_fraction=0.0 n_traj=10000\n")
+
+    @pytest.mark.parametrize("extra", [("--x0", "0", "--noise-var", "0.01"), ("--x0", "0.7", "--noise-var", "1e308")])
+    def test_ricker_zero_is_kept_as_the_extinct_fixed_point(self, capsys, extra):
+        # a start of 0, or variates that are all 0, stay at 0; these exited 3
+        code, out, err = run_cli(capsys, "simulate", "--map", "ricker", "--r", "1.5", "--t-max", "3",
+                                 "--n-traj", "10", *extra)
+        assert (code, err) == (0, "extinct_fraction=0.0 n_traj=10\n")
+        assert out.splitlines()[-1] == "3,0.0,0.0,0.0,0.0,0.0"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_every_trajectory_exiting_is_3_and_named(self, capsys, fmt):
-        # every trajectory exits by step 3, so no step has a mean; this
-        # printed rows of nan (null in JSON) and exited 0
+        # 0.7 -> 4.6e7 eps: every trajectory crosses the cap at step 1, so no
+        # step has a mean; this printed rows of nan (null in JSON) and exited 0
         code, out, err = run_cli(
-            capsys, "simulate", "--map", "ricker", "--r", "40", "--x0", "0.7",
+            capsys, "simulate", "--map", "ricker", "--r", "60", "--x0", "0.7",
             "--noise-var", "0.01", "--t-max", "3", "--n-traj", "10", "--format", fmt,
         )
         assert code == 3 and out == ""
@@ -664,14 +682,14 @@ class TestConverge:
         assert out.endswith("\n1e-320,0.0\n")
 
     def test_every_trajectory_exiting_is_3_and_named(self, capsys):
-        # the orbit 0.7 -> 1.1e5 -> 0 stays in the domain, but every
-        # trajectory exits, so the level has no mean
+        # the orbit 0.7 -> 1.1e5 -> 0 stays in the domain, but at this seed
+        # every trajectory crosses the cap, so the level has no mean
         code, out, err = run_cli(
-            capsys, "converge", "--map", "ricker", "--r", "40", "--ladder", "1e-2",
+            capsys, "converge", "--map", "ricker", "--r", "40", "--ladder", "2",
             "--n-traj", "10", "--t-max", "3",
         )
         assert code == 3 and out == ""
-        assert err == ("numerical failure: the ricker ensemble at variance level 0.01 kept 0 "
+        assert err == ("numerical failure: the ricker ensemble at variance level 2.0 kept 0 "
                        "of 10 trajectories in the open domain over 3 steps; a mean needs 2\n")
 
     @pytest.mark.parametrize("r", ["nan", "inf", "-1", "0"])
@@ -764,12 +782,12 @@ class TestSeeds:
 
     def test_golden_simulate_csv(self, capsys):
         # 3000 trajectories are one chunk: one stream, starts then one noise
-        # variate per trajectory at each step
+        # variate per trajectory at each step, stepped in ln x by maps.orbit_step
         code, out, _ = run_cli(capsys, "simulate", "--map", "ricker", "--r", "1.3", "--noise-var", "0.05",
                                "--init-k", "2", "--init-theta", "0.3", "--t-max", "20",
                                "--n-traj", "3000", "--seed", "7")
         assert code == 0
-        assert hashlib.md5(out.encode()).hexdigest() == "c8b055bf7cec46d95e7dd849f44eb0fb"
+        assert hashlib.md5(out.encode()).hexdigest() == "5304d6a7c06d4b78452f79c7de61e95d"
 
 
 class TestSelfCheck:

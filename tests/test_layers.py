@@ -72,9 +72,10 @@ def test_only_equilibrium_dispatches_between_solvers(module):
     assert not {"logistic_solve", "ricker_solve"} <= called_names(module)
 
 
-@pytest.mark.parametrize("module", ["chaos", "mean_dynamics"])
+@pytest.mark.parametrize("module", ["chaos", "mean_dynamics", "simulate"])
 def test_only_maps_exponentiates_an_orbit(module):
-    """Map steps are taken through ``maps``: analysis and mean dynamics call no exp."""
+    """Map steps are taken through ``maps``: analysis, mean dynamics and the
+    Monte Carlo call no exp."""
     assert "exp" not in called_names(module)
 
 
@@ -91,6 +92,14 @@ def test_one_stepper_per_orbit_count():
     and the scan, go through ``maps.blocks``."""
     assert outermost_callers({"orbit"}) == {"chaos._attracting_cycle", "mean_dynamics.deterministic_orbit"}
     assert outermost_callers({"blocks"}) == {"chaos._ensemble_exponent", "chaos.bifurcation_scan"}
+
+
+def test_one_step_for_every_ricker_trajectory():
+    """Outside ``maps``, whose ``orbit`` and ``blocks`` write ``orbit_step``
+    out, only the Monte Carlo's ``simulate._iterate`` calls it: every Ricker
+    trajectory steps ln x by that one definition."""
+    callers = {name for name in outermost_callers({"orbit_step"}) if not name.startswith("maps.")}
+    assert callers == {"simulate._iterate"}
 
 
 def test_divergence_error_is_defined_once_in_maps():

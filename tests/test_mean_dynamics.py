@@ -237,21 +237,20 @@ class TestConvergenceSweep:
         devs = [d for _, d in out]
         assert devs[0] > devs[1] > devs[2]
 
-    @pytest.mark.parametrize("r,t_max,n_traj,kept", [(40.0, 100, 10, 0), (15.0, 2, 2, 1)])
-    def test_level_without_two_survivors_is_named(self, r, t_max, n_traj, kept):
-        # the deterministic orbit stays in the domain; the ensemble does not.
-        # At r = 40, of 2e5 trajectories 1.4 % outlive 3 steps, 8e-5 outlive
-        # 30 and none 100, the survivors falling by about a fifth per step:
-        # all 10 exit within 100 steps whatever the stream
-        message = (f"the ricker ensemble at variance level 0.01 kept {kept} of {n_traj} "
+    @pytest.mark.parametrize("level,t_max,n_traj,kept", [(1.0, 3, 3, 0), (1e-2, 2, 2, 1)])
+    def test_level_without_two_survivors_is_named(self, level, t_max, n_traj, kept):
+        # the deterministic orbit 0.7 -> 1.1e5 -> 0 stays in the domain; at
+        # r = 40 a start below about 0.643 steps past the cap, and at seed 0
+        # that leaves fewer than two trajectories of the ensemble
+        message = (f"the ricker ensemble at variance level {level!r} kept {kept} of {n_traj} "
                    f"trajectories in the open domain over {t_max} steps; a mean needs 2")
         with pytest.raises(DivergenceError) as info:
-            convergence_sweep("ricker", r, [1e-2], t_max=t_max, n_traj=n_traj, seed=0)
+            convergence_sweep("ricker", 40.0, [level], t_max=t_max, n_traj=n_traj, seed=0)
         assert str(info.value) == message
 
     def test_two_survivors_give_a_finite_deviation(self):
-        # one trajectory more than the case above keeps two in the domain
-        (v, dev), = convergence_sweep("ricker", 15.0, [1e-2], t_max=2, n_traj=3, seed=0)
+        # one trajectory more than the second case above keeps two in the domain
+        (v, dev), = convergence_sweep("ricker", 40.0, [1e-2], t_max=2, n_traj=3, seed=0)
         assert v == 1e-2 and math.isfinite(dev)
 
     def test_levels_echoed_in_order(self):

@@ -86,8 +86,8 @@ class TestTrajectoryRng:
 
 
 class TestStep:
-    """The stochastic step f(x) * eps, as ``_iterate`` and
-    ``stationarity_check`` take it."""
+    """The direct stochastic step f(x) * eps, as ``stationarity_check`` and the
+    logistic ``_iterate`` take it; a Ricker trajectory steps ln x instead."""
 
     def test_logistic_fixed_point(self):
         assert maps.step("logistic", 2.0, 0.5) * 1.0 == 0.5
@@ -134,10 +134,19 @@ class TestRunTrajectory:
         assert traj.exited and traj.exit_step == 0
         assert np.isnan(traj.values[1:]).all()
 
-    @pytest.mark.parametrize("kind,x0", [("logistic", 0.0), ("logistic", 1.0), ("ricker", 0.0)])
+    @pytest.mark.parametrize("kind,x0", [("logistic", 0.0), ("logistic", 1.0), ("ricker", 1e6), ("ricker", -1.0)])
     def test_domain_is_open(self, kind, x0):
+        # (0, 1) for the logistic map, [0, cap) for Ricker
         traj = run_trajectory(MapSpec(kind, 2.0), x0, NoiseSpec(0.0), 5, trajectory_rng(1, 0))
         assert traj.exited and traj.exit_step == 0
+
+    @pytest.mark.parametrize("x0,v", [(0.0, 0.3), (0.7, 1e308)])
+    def test_ricker_zero_is_the_extinct_fixed_point(self, x0, v):
+        # a start of 0, or variates that are all 0 (gamma shape 1e-308), take
+        # ln x to -inf, which steps to 0 and stays there without an exit
+        traj = run_trajectory(MapSpec("ricker", 2.0), x0, NoiseSpec(v), 5, trajectory_rng(1, 0))
+        assert not traj.exited
+        assert traj.values.tolist() == [x0] + [0.0] * 5
 
     def test_exit_step_is_first_value_outside(self):
         # r = 4.5 takes the midpoint to 1.125, outside (0, 1), at step 2
@@ -152,6 +161,18 @@ class TestRunTrajectory:
         assert traj.exited and traj.exit_step == 1
         assert traj.values[1] == np.inf
 
+    def test_ricker_meets_the_telescoping_identity(self):
+        # ln x_{t+1} = ln x_t + r(1 - x_t) + ln eps_t sums to the exact identity
+        # sum_{t<n} x_t = n + (sum_{t<n} ln eps_t - (ln x_n - ln x_0))/r along
+        # the trajectory, so only rounding separates the two sides
+        r, n = 2.6, 1000
+        traj = run_trajectory(MapSpec("ricker", r), 0.7, NoiseSpec(0.3), n, trajectory_rng(5, 2))
+        log_eps = np.log(noise_draw(NoiseSpec(0.3), trajectory_rng(5, 2), size=n))
+        x = traj.values
+        assert not traj.exited
+        want = n + (math.fsum(log_eps) - (math.log(x[n]) - math.log(x[0]))) / r
+        assert abs(math.fsum(x[:n]) - want) <= 1e-12 * n
+
     def test_records_t_max_plus_one(self):
         traj = run_trajectory(MapSpec("ricker", 1.0), 0.5, NoiseSpec(0.05), 17, trajectory_rng(1, 1))
         assert len(traj.values) == 18
@@ -160,23 +181,31 @@ class TestRunTrajectory:
         ("logistic", 3.9, 0.3, 0.3),  # leaves (0, 1) part-way
         ("logistic", 2.0, 1.5, 0.0),  # starts outside
         ("ricker", 2.6, 0.7, 0.3),
-        ("ricker", 40.0, 0.7, 0.0),  # 0.7 -> 1.1e5 -> 0
+        ("ricker", 40.0, 0.7, 0.0),  # 0.7 -> 1.1e5 -> 0.0 with ln x = -4.4e6, which stays inside
+        ("ricker", 60.0, 0.7, 0.3),  # 0.7 -> 4.6e7, past the cap
         ("ricker", 800.0, 1e-3, 0.0),  # overflows to inf
         ("ricker", 1e-4, 2e6, 0.0),  # the step from the cap lands back inside, at 2.7e-81
     ])
     def test_matches_a_masked_state_reference(self, kind, r, x0, v):
         # the state is NaN from the step after an exit, so the exit step
-        # keeps the value that left and nothing comes back into the domain
+        # keeps the value that left and nothing comes back into the domain;
+        # Ricker steps ln x by orbit_step with ln eps added, the logistic map
+        # takes f(x) * eps
         t_max, spec = 30, MapSpec(kind, r)
         eps = noise_draw(NoiseSpec(v), trajectory_rng(9, 4), size=t_max)
         want = [x0]
         x = np.array([x0]) if maps.in_open_domain(kind, x0) else np.array([np.nan])
-        with np.errstate(over="ignore"):
+        y = np.log(x)
+        with np.errstate(over="ignore", invalid="ignore"):
             for e in eps:
-                x = maps.step(kind, r, x) * e
+                if kind == "ricker":
+                    x, y = maps.orbit_step(kind, r, x, y + np.log(e))
+                else:
+                    x = maps.step(kind, r, x) * e
                 want.append(float(x[0]))
                 x[~maps.in_open_domain(kind, x)] = np.nan
-        outside = [not 0.0 < w < maps.UPPER[kind] for w in want]
+        # the domain is (0, 1) for the logistic map and [0, cap) for Ricker
+        outside = [not (w < maps.UPPER[kind] and (w > 0.0 or kind == "ricker" and w == 0.0)) for w in want]
         traj = run_trajectory(spec, x0, NoiseSpec(v), t_max, trajectory_rng(9, 4))
         assert np.array_equal(traj.values, want, equal_nan=True)
         assert traj.exit_step == (outside.index(True) if any(outside) else None)
@@ -265,7 +294,7 @@ class TestRunEnsemble:
         # 64-trajectory chunks, so the ensemble spans five streams and the
         # last chunk is partial. The logistic reference reduces each chunk's
         # rows as numpy does and merges the means in chunk order, so it is
-        # exact; Ricker differs by np.exp vs math.exp
+        # exact; Ricker steps ln x, which the direct float step here meets to rounding
         monkeypatch.setattr(simulate, "CHUNK", 64)
         n, t_max = 4 * 64 + 37, 10
         chunks, exited = self.reference_chunks(kind, r, init, v, t_max, n, 64)
@@ -327,11 +356,31 @@ class TestRunEnsemble:
         assert (stats.mean[0], stats.variance[0], stats.se_variance[0]) == (0.4, 0.0, 0.0)
         assert np.all(stats.variance[1:] > 0.0)
         stats = run_ensemble(MapSpec("ricker", 1.5), 0.4, NoiseSpec(0.0), t_max=5, n_traj=300, seed=SEED)
-        orbit = [0.4]
+        x = np.array([0.4])
+        orbit, y = [0.4], np.log(x)
         for _ in range(5):
-            orbit.append(float(maps.step("ricker", 1.5, np.array([orbit[-1]]))[0]))
+            x, y = maps.orbit_step("ricker", 1.5, x, y + np.log(1.0))
+            orbit.append(float(x[0]))
         assert stats.mean.tolist() == orbit
         assert np.all(stats.variance == 0.0) and np.all(stats.se_variance == 0.0)
+
+    def test_small_k_long_run_meets_the_log_identity(self):
+        # ln x' = ln x + r(1 - x) + ln eps gives the stationary mean
+        # E[X] = 1 + E[ln eps]/r, with E[ln eps] = psi(1/v) + ln v for gamma
+        # noise. On the chaotic k = 0.2, v = 0.05 plus branch the orbits dip
+        # below the smallest double, which a direct step rounded to 0 and
+        # counted as extinction: every trajectory stays in ln x, and the mean
+        # over the last 500 steps lies within 4 batch-means se (10 batches)
+        import mpmath
+        r, v = 8.852673963697553, 0.05
+        target = 1.0 + float(mpmath.digamma(1 / mpmath.mpf(v)) + mpmath.log(v)) / r
+        assert target == pytest.approx(0.99715, abs=5e-6)
+        stats = run_ensemble(MapSpec("ricker", r), GammaParams(0.2, 180.5275178451948), NoiseSpec(v),
+                             t_max=1000, n_traj=20_000, seed=1)
+        assert stats.extinct_fraction == 0.0
+        batches = stats.mean[501:].reshape(10, 50).mean(axis=1)
+        se = batches.std(ddof=1) / math.sqrt(len(batches))
+        assert abs(batches.mean() - target) < 4.0 * se
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_error_in_one_chunk_propagates(self, monkeypatch, cores):
@@ -349,9 +398,10 @@ class TestRunEnsemble:
             run_ensemble(MapSpec("ricker", 1.5), 0.4, NoiseSpec(0.1), t_max=5, n_traj=300, seed=SEED)
 
     def test_fewer_than_two_survivors_is_named(self):
-        # 0.7 -> 1.1e5 -> 0: every trajectory exits, so no step has a mean
+        # 0.7 -> 4.6e7 eps, past the cap for any eps above 0.022: every
+        # trajectory exits at step 1, so no step has a mean
         with pytest.raises(maps.DivergenceError) as info:
-            run_ensemble(MapSpec("ricker", 40.0), 0.7, NoiseSpec(0.01), t_max=3, n_traj=10, seed=SEED)
+            run_ensemble(MapSpec("ricker", 60.0), 0.7, NoiseSpec(0.01), t_max=3, n_traj=10, seed=SEED)
         assert str(info.value) == ("the ricker ensemble at variance level 0.01 kept 0 of 10 "
                                    "trajectories in the open domain over 3 steps; a mean needs 2")
 
@@ -610,9 +660,8 @@ class TestStationarity:
         # r+ = 99.76 exists but lies past the default r_max = 10; only r- is solved
         assert ricker_solve(0.01, 0.5, r_max=1000.0).branches[0].r > 10.0
         with pytest.raises(NoRootError, match=r"^the 'plus' root of the Ricker equilibrium lies beyond "
-                                              r"r_max=10\.0$") as info:
+                                              r"r_max=10\.0$"):
             stationarity_check("ricker", 0.01, 0.5, "plus", n_traj=100, seed=1)
-        assert (info.value.r_lo, info.value.r_hi) == (0.0, 10.0)
         assert stationarity_check("ricker", 0.01, 0.5, "minus", n_traj=1000, seed=1).passed
 
     def test_trivial_minus_branch_is_a_usage_error(self):
