@@ -52,11 +52,6 @@ class TransitionReport:
     solution: EquilibriumSolution  # holds the map, k and var_eps
 
 
-def _check_count(name: str, value: int, least: int) -> None:
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: int) -> tuple:
     """(lambda, se, n): the Lyapunov exponent as the mean of the orbit averages
     of ``maps.lyapunov_terms`` over _ORBITS orbits stepped together by
@@ -101,8 +96,8 @@ def lyapunov(kind: MapKind, r: float, burn_in: int = DEFAULT_BURN_IN, iters: int
     DivergenceError if an orbit leaves the closed domain, ValueError for a bad
     kind or r."""
     maps.check(kind, r)
-    _check_count("burn_in", burn_in, 0)
-    _check_count("iters", iters, 1)
+    maps.check_count("burn_in", burn_in, 0)
+    maps.check_count("iters", iters, 1)
     return _ensemble_exponent(kind, r, maps.DEFAULT_X0[kind], burn_in, iters)[0]
 
 
@@ -137,7 +132,7 @@ def classify(kind: MapKind, r: float, iters: int = DEFAULT_ITERS) -> RegimeRepor
     ``maps.DEFAULT_X0``, as ``lyapunov`` does; divergent when an orbit escapes.
     """
     maps.check(kind, r)
-    _check_count("iters", iters, 1)
+    maps.check_count("iters", iters, 1)
     start = maps.DEFAULT_X0[kind]
     try:
         cycle = _attracting_cycle(kind, r, start, _P_MAX)
@@ -182,10 +177,10 @@ def bifurcation_scan(
     maps.check(kind, r_max)
     if not (r_min < r_max):
         raise ValueError(f"need r_min < r_max, got {r_min}, {r_max}")
-    _check_count("n_r", n_r, 2)
-    _check_count("burn_in", burn_in, 0)
-    _check_count("lyap_iters", lyap_iters, 1)
-    _check_count("samples_per_r", samples_per_r, 0)
+    maps.check_count("n_r", n_r, 2)
+    maps.check_count("burn_in", burn_in, 0)
+    maps.check_count("lyap_iters", lyap_iters, 1)
+    maps.check_count("samples_per_r", samples_per_r, 0)
     rs = np.linspace(r_min, r_max, n_r)
     sums, sizes, gone = [], [], np.zeros(n_r, dtype=bool)
     samples, taken = np.empty((samples_per_r, n_r)), 0

@@ -77,9 +77,12 @@ def _write(lines: list[str], output: Optional[str]) -> None:
 
 def _comma_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        values = []
+    if not values:  # an empty list would print only a header
+        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +107,7 @@ def _note_roots_beyond(sol: equilibrium.EquilibriumSolution, r_max: float) -> No
 
 
 def cmd_scan(args) -> int:
+    maps.check_count("steps", args.steps, 1)
     header = ["k", "var_eps", "branch", "r", "theta", "feasible"]
     grid = np.linspace(0.0, args.var_eps_max, args.steps)
     rows = []
@@ -122,6 +126,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_ricker_curve(args) -> int:
+    maps.check_count("steps", args.steps, 1)
     header = ["k", "r"]
     rows = []
     for k in np.linspace(args.k_min, args.k_max, args.steps):
@@ -132,8 +137,7 @@ def cmd_ricker_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {args.n_workers}")
+    maps.check_count("n_workers", args.n_workers, 1)
     if args.x0 is not None and (args.init_k is not None or args.init_theta is not None):
         raise ValueError("give either --x0 or --init-k/--init-theta, not both")
     if args.x0 is not None:

@@ -15,7 +15,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .maps import MapKind
+from .maps import MapKind, check_nonnegative, check_positive
 
 RICKER_DEFAULT_R_MAX = 10.0
 _MIN_NORMAL = sys.float_info.min
@@ -48,8 +48,7 @@ class NoiseSpec:
     family: NoiseFamily = "gamma"
 
     def __post_init__(self) -> None:
-        if not (self.variance >= 0 and math.isfinite(self.variance)):
-            raise ValueError(f"noise variance must be finite and >= 0, got {self.variance!r}")
+        check_nonnegative("noise variance", self.variance)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
 
@@ -72,23 +71,13 @@ class EquilibriumSolution:
     roots_beyond_rmax: bool = False
 
 
-def _check_k(k: float) -> None:
-    if not (k > 0 and math.isfinite(k)):
-        raise ValueError(f"shape k must be finite and > 0, got {k!r}")
-
-
-def _check_var(var_eps: float) -> None:
-    if not (var_eps >= 0 and math.isfinite(var_eps)):
-        raise ValueError(f"var_eps must be finite and >= 0, got {var_eps!r}")
-
-
 # ---------------------------------------------------------------------------
 # Logistic map
 # ---------------------------------------------------------------------------
 
 def logistic_noise_bound(k: float) -> float:
     """Largest noise variance with real branches: 1/(k+2)."""
-    _check_k(k)
+    check_positive("shape k", k)
     return 1.0 / (k + 2.0)
 
 
@@ -97,7 +86,7 @@ def logistic_quadratic_residual(r: float, k: float, var_eps: float) -> float:
     where (k+1)^2 overflows, the terms are scaled by 2^-2e (exact) and the sum back;
     below it e = 0 and the value is the plain quadratic's to the last bit (with pow's
     square, which is not always x * x)."""
-    _check_k(k)
+    check_positive("shape k", k)
     e = max(0, math.frexp(k)[1] - 512)
     c = math.ldexp(1.0, -2 * e)
     scaled = (
@@ -117,7 +106,7 @@ def logistic_solve(k: float, var_eps: float) -> EquilibriumSolution:
     """Solve for both growth-rate branches of the stochastic logistic map. r- is the
     trivial root 1 exactly at var_eps = 0 and never below it; a branch is degenerate iff its theta is 0."""
     bound = logistic_noise_bound(k)
-    _check_var(var_eps)
+    check_nonnegative("var_eps", var_eps)
     if var_eps > bound:
         raise InfeasibleError(
             f"var_eps={var_eps} exceeds feasibility bound {bound} for k={k}",
@@ -154,8 +143,8 @@ def ricker_residual(r, k: float, var_eps: float):
 
     The second term is assembled in log space; accepts scalar or array r.
     """
-    _check_k(k)
-    _check_var(var_eps)
+    check_positive("shape k", k)
+    check_nonnegative("var_eps", var_eps)
     r = np.asarray(r, dtype=float)
     value = (
         2.0 * np.exp(r / (k + 1.0))
@@ -167,7 +156,7 @@ def ricker_residual(r, k: float, var_eps: float):
 
 def ricker_theta(r: float, k: float) -> float:
     """Scale implied by mean stationarity: theta = (e^{r/(k+1)} - 1)/r."""
-    _check_k(k)
+    check_positive("shape k", k)
     if not (r > 0):
         raise ValueError(f"ricker theta requires r > 0, got {r!r}")
     try:
@@ -251,7 +240,7 @@ def ricker_noise_bound(k: float, r_max: float = RICKER_DEFAULT_R_MAX) -> float:
     v_max(k) = [(2/p)(2(p-1)/p)^{p-1}]^{k+2} - 1 with p = 2(k+1)/(k+2)
     (11/16 at k = 1); below r* it is the variance whose minus root is r_max.
     """
-    _check_k(k)
+    check_positive("shape k", k)
     if not (r_max > 0):
         raise ValueError(f"r_max must be > 0, got {r_max!r}")
     s = min(r_max / (k + 1.0), _ricker_tangency(k))
@@ -269,8 +258,8 @@ def ricker_solve(
     InfeasibleError when var_eps exceeds v_max(k), and NoRootError when the
     roots exist but all lie beyond r_max.
     """
-    _check_var(var_eps)
-    _check_k(k)
+    check_nonnegative("var_eps", var_eps)
+    check_positive("shape k", k)
     s_t = _ricker_tangency(k)
     log_var_t = _ricker_log_var(s_t, k)  # the maximum of L
     v_max = math.expm1(log_var_t)

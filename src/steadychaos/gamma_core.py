@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .maps import check_count, check_positive
+
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -30,10 +32,8 @@ class GammaParams:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"shape k must be finite and > 0, got {self.k!r}")
-        if not (math.isfinite(self.theta) and self.theta > 0):
-            raise ValueError(f"scale theta must be finite and > 0, got {self.theta!r}")
+        check_positive("shape k", self.k)
+        check_positive("scale theta", self.theta)
 
     def mean(self) -> float:
         return self.k * self.theta
@@ -52,8 +52,7 @@ def _exp_in_range(log_value: float, what: str, p: GammaParams) -> float:
 def _check_order(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"moment order must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"moment order must be >= 0, got {n}")
+    check_count("moment order", n, 0)
     return int(n)
 
 

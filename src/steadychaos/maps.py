@@ -1,8 +1,10 @@
 """The two maps, each defined once: logistic r x (1-x) and Ricker x e^{r(1-x)}.
 A stochastic logistic step is f(x) eps; every Ricker orbit and trajectory
 steps y = ln x by ``orbit_step``, a trajectory from y + ln eps. This bottom
-layer imports nothing from the package. ``x`` and ``r`` may be floats
-(stepped with ``math.exp``) or NumPy arrays (``np.exp``).
+layer imports nothing from the package, and writes once each input rule that
+the layers above share, ``equilibrium`` and ``gamma_core`` included:
+``check_count``, ``check_positive`` and ``check_nonnegative``. ``x`` and
+``r`` may be floats (stepped with ``math.exp``) or NumPy arrays (``np.exp``).
 
 The domain is [0, 1] for the logistic map and [0, RICKER_X_CAP] for Ricker.
 A deterministic orbit lives on the closed domain: 0 is the extinct fixed
@@ -45,12 +47,26 @@ class DivergenceError(RuntimeError):
     """Orbit left the admissible region."""
 
 
+def check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_nonnegative(name: str, value: float) -> None:
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def check(kind: MapKind, r: float) -> None:
     """Raise ValueError for an unknown kind or an r that is not finite and > 0."""
     if kind not in UPPER:
         raise ValueError(f"unknown map kind {kind!r}")
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError(f"growth rate r must be finite and > 0, got {r!r}")
+    check_positive("growth rate r", r)
 
 
 def _exp(z):

@@ -17,7 +17,7 @@ from . import maps
 from .equilibrium import NoiseSpec
 from .gamma_core import fit_from_moments
 from .maps import MapKind
-from .simulate import MapSpec, check_n_traj, check_seed, noiseless, run_ensemble
+from .simulate import MapSpec, check_seed, noiseless, run_ensemble
 
 _Y0 = {"logistic": 0.3, "ricker": 0.7}
 
@@ -45,8 +45,7 @@ def deterministic_orbit(kind: MapKind, r: float, x0: float, t_max: int) -> np.nd
     stepped by ``maps.orbit`` from (x0, ln x0); ``maps.escaped`` at the first
     step (0 for the start) that leaves the closed domain, overflow included."""
     maps.check(kind, r)
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    maps.check_count("t_max", t_max, 0)
     states = []
     maps.orbit(kind, r, x0, math.log(x0) if x0 > 0.0 else -math.inf, t_max, states)
     return np.array([x0] + [x for x, _ in states], dtype=float)
@@ -70,9 +69,8 @@ def convergence_sweep(
     than two trajectories of a level stay in the domain. ValueError, before any
     work, for a t_max, n_traj or seed that ``run_ensemble`` rejects, noiseless levels included.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
-    check_n_traj(n_traj)
+    maps.check_count("t_max", t_max, 1)
+    maps.check_count("n_traj", n_traj, 2)  # a mean and a spread need two
     check_seed(seed)
     levels = [float(v) for v in ladder]
     for a, b in zip(levels, levels[1:]):

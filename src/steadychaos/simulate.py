@@ -76,12 +76,6 @@ class StationarityReport:
     target_variance: float  # k*theta^2
 
 
-def check_n_traj(n_traj: int) -> None:
-    """Raise ValueError for fewer than two trajectories, since a mean and a spread need two."""
-    if n_traj < 2:
-        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
-
-
 def check_seed(seed: int) -> None:
     """Raise ValueError for a master seed outside [0, 2**64)."""
     if not 0 <= seed < 2**64:
@@ -94,8 +88,7 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     pairs hash to independent states; chunk ``index`` of an ensemble or a
     stationarity sample draws from it."""
     check_seed(seed)
-    if index < 0:
-        raise ValueError(f"stream index must be >= 0, got {index}")
+    maps.check_count("stream index", index, 0)
     return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
@@ -147,8 +140,7 @@ def run_trajectory(
 ) -> Trajectory:
     """Iterate the stochastic map; stops and flags when the state leaves the
     open domain (``maps.in_open_domain``)."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    maps.check_count("t_max", t_max, 1)
     eps = noise_draw(noise, rng, size=t_max)
     values = np.empty(t_max + 1)
     values[0] = x0
@@ -275,9 +267,8 @@ def run_ensemble(
     ``extinct_fraction`` and excluded from all moment estimates;
     DivergenceError when fewer than two stay, since a mean needs two.
     """
-    check_n_traj(n_traj)
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    maps.check_count("n_traj", n_traj, 2)  # a mean and a spread need two
+    maps.check_count("t_max", t_max, 1)
     gamma_init = isinstance(init, GammaParams)
 
     def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -328,7 +319,7 @@ def stationarity_check(
     ``r_offset`` perturbs the solved growth rate (negative control).
     FloatingPointError when the sample has no spread, as at extreme k.
     """
-    check_n_traj(n_traj)
+    maps.check_count("n_traj", n_traj, 2)  # a mean and a spread need two
     b = _pick_branch(solve(map_kind, k, var_eps), branch)
     if b.degenerate:
         raise ValueError("degenerate branch (theta = 0) cannot be sampled")

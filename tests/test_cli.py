@@ -190,6 +190,24 @@ class TestScan:
         assert code == 0 and out == ""
         assert path.read_text().startswith("k,var_eps,branch,r,theta,feasible\n")
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_one_is_usage(self, capsys, steps):
+        # 0 used to print only the header and exit 0, and -1 numpy's
+        # "Number of samples, -1, must be non-negative."
+        code, out, err = run_cli(capsys, "scan", "--map", "logistic", "--k", "1.0", "--steps", steps)
+        assert (code, out, err) == (1, "", f"error: steps must be >= 1, got {steps}\n")
+
+    @pytest.mark.parametrize("k", [",", " , ", ""])
+    def test_empty_k_list_is_usage(self, capsys, k):
+        # it used to print only the header and exit 0
+        code, out, err = run_cli(capsys, "scan", "--map", "ricker", "--k", k, "--steps", "3")
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument --k: expected comma-separated floats, got {k!r}\n")
+
+    def test_trailing_comma_still_parses(self, capsys):
+        argv = ("scan", "--map", "logistic", "--var-eps-max", "0.1", "--steps", "2", "--k")
+        assert run_cli(capsys, *argv, "1,") == run_cli(capsys, *argv, "1")
+
 
 class TestRickerCurve:
     def test_monotone_decreasing(self, capsys):
@@ -199,6 +217,13 @@ class TestRickerCurve:
         rs = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(a > b for a, b in zip(rs, rs[1:]))
         assert all(r > 2.0 for r in rs)
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_one_is_usage(self, capsys, steps):
+        # 0 used to print only the header and exit 0, and -1 numpy's
+        # "Number of samples, -1, must be non-negative."
+        code, out, err = run_cli(capsys, "ricker-curve", "--steps", steps)
+        assert (code, out, err) == (1, "", f"error: steps must be >= 1, got {steps}\n")
 
 
 class TestSimulate:
@@ -724,6 +749,12 @@ class TestConverge:
             "--n-traj", "100", flag, value,
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_empty_ladder_is_usage(self, capsys):
+        # it used to print only the header and exit 0
+        code, out, err = run_cli(capsys, "converge", "--map", "logistic", "--r", "2", "--ladder", ",")
+        assert (code, out) == (1, "")
+        assert err.endswith("error: argument --ladder: expected comma-separated floats, got ','\n")
 
     def test_bad_ladder_is_usage(self, capsys):
         code, _, _ = run_cli(

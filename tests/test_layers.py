@@ -1,13 +1,19 @@
 """Import layering of the package: the map kernel at the bottom, analysis
-and simulation above it side by side, the CLI on top."""
+and simulation above it side by side, the CLI on top. The kernel also owns
+every shared argument rule, and each rule's message is pinned here."""
 
 import ast
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from steadychaos import GammaParams, NoiseSpec, chaos, cli, equilibrium, raw_moment
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "steadychaos"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -112,6 +118,54 @@ def test_divergence_error_is_defined_once_in_maps():
     import steadychaos
     from steadychaos import chaos, maps
     assert steadychaos.DivergenceError is maps.DivergenceError is chaos.DivergenceError
+
+
+RULE_TEMPLATES = (" must be >= {least}, got {value}", " must be finite and > 0, got ",
+                  " must be finite and >= 0, got ")
+# float rules that accept inf, with their own wording
+OWN_COUNT_WORDING = {("mean_dynamics", "var_x"), ("mean_dynamics", "variance levels")}
+
+
+def test_each_argument_rule_is_written_once_in_maps():
+    """The count, positive and non-negative rules are ``maps.check_count``,
+    ``check_positive`` and ``check_nonnegative``: no other module spells out
+    their messages or keeps a helper of its own."""
+    sources = {module: (PACKAGE / f"{module}.py").read_text() for module in MODULES}
+    for template in RULE_TEMPLATES:
+        assert [m for m, text in sources.items() if template in text] == ["maps"], template
+    inline = {(m, name) for m, text in sources.items()
+              for name in re.findall(r'"([\w ]+) must be >= -?\d+, got', text)}
+    assert inline == OWN_COUNT_WORDING
+    defined = {node.name for text in sources.values() for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.FunctionDef)}
+    assert not {"_check_count", "check_n_traj", "_check_k", "_check_var"} & defined
+
+
+def _simulate_handler(*flags):
+    args = cli.build_parser().parse_args(["simulate", "--map", "logistic", "--r", "2", "--x0", "0.5", *flags])
+    return args.handler(args)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: GammaParams(0.0, 1.0), "shape k must be finite and > 0, got 0.0"),
+    (lambda: equilibrium.logistic_noise_bound(-1.0), "shape k must be finite and > 0, got -1.0"),
+    (lambda: GammaParams(1.0, math.inf), "scale theta must be finite and > 0, got inf"),
+    (lambda: equilibrium.ricker_residual(1.0, 1.0, -0.1), "var_eps must be finite and >= 0, got -0.1"),
+    (lambda: equilibrium.logistic_solve(1.0, math.nan), "var_eps must be finite and >= 0, got nan"),
+    (lambda: NoiseSpec(-1.0), "noise variance must be finite and >= 0, got -1.0"),
+    (lambda: raw_moment(GammaParams(1.0, 1.0), -1), "moment order must be >= 0, got -1"),
+    (lambda: raw_moment(GammaParams(1.0, 1.0), np.int64(-2)), "moment order must be >= 0, got -2"),
+    (lambda: _simulate_handler("--n-workers", "0"), "n_workers must be >= 1, got 0"),
+    (lambda: chaos.lyapunov("logistic", 3.5, iters=0), "iters must be >= 1, got 0"),
+    (lambda: chaos.classify("logistic", 3.5, iters=0), "iters must be >= 1, got 0"),
+    (lambda: chaos.bifurcation_scan("logistic", 2.0, 3.0, 1), "n_r must be >= 2, got 1"),
+    (lambda: chaos.bifurcation_scan("logistic", 2.0, 3.0, 5, lyap_iters=0), "lyap_iters must be >= 1, got 0"),
+], ids=["shape_k", "shape_k_equilibrium", "scale_theta", "var_eps", "var_eps_nan", "noise_variance",
+        "moment_order", "moment_order_numpy", "n_workers", "iters_lyapunov", "iters_classify", "n_r",
+        "lyap_iters"])
+def test_argument_messages_are_pinned(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_only_trajectory_rng_builds_a_bit_generator():
