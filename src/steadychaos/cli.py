@@ -103,7 +103,7 @@ def cmd_solve(args) -> int:
 
 def _note_roots_beyond(sol: equilibrium.EquilibriumSolution, r_max: float) -> None:
     if sol.roots_beyond_rmax:
-        print(f"note: residual still positive at r_max={_fmt(r_max)}; roots may exist beyond it")
+        print(f"note: the plus root lies beyond r_max={_fmt(r_max)}")
 
 
 def cmd_scan(args) -> int:
@@ -178,6 +178,8 @@ def cmd_stationarity(args) -> int:
 
 
 def cmd_bifurcate(args) -> int:
+    maps.check_count("steps", args.steps, 2)
+    maps.check_count("samples", args.samples, 0)
     records = chaos.bifurcation_scan(
         args.map, args.r_min, args.r_max, args.steps, samples_per_r=args.samples
     )
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_map_flag(p)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--var-eps", type=float, required=True)
-    p.add_argument("--branch", choices=("plus", "minus"), default="plus")
+    p.add_argument("--branch", choices=equilibrium.BRANCHES, default="plus")
     p.add_argument("--family", choices=equilibrium.FAMILIES, default="gamma")
     p.add_argument("--n-traj", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -22,6 +22,8 @@ _MIN_NORMAL = sys.float_info.min
 
 NoiseFamily = Literal["gamma", "lognormal"]
 FAMILIES = get_args(NoiseFamily)
+BranchLabel = Literal["plus", "minus"]
+BRANCHES = get_args(BranchLabel)
 
 
 class InfeasibleError(ValueError):
@@ -57,7 +59,7 @@ class NoiseSpec:
 class Branch:
     r: float
     theta: float
-    label: Literal["plus", "minus"]
+    label: BranchLabel
     degenerate: bool = False
 
 

@@ -1,22 +1,22 @@
 """The two maps, each defined once: logistic r x (1-x) and Ricker x e^{r(1-x)}.
-A stochastic logistic step is f(x) eps; every Ricker orbit and trajectory
-steps y = ln x by ``orbit_step``, a trajectory from y + ln eps. This bottom
-layer imports nothing from the package, and writes once each input rule that
-the layers above share, ``equilibrium`` and ``gamma_core`` included:
+A stochastic logistic step is f(x) eps. A Ricker state carries y = ln x and
+steps as ``orbit_step`` does: a Monte Carlo trajectory calls it from y + ln eps,
+and the deterministic steppers ``orbit`` and ``blocks`` write it out. This
+bottom layer imports nothing from the package, and writes once each input rule
+that the layers above share, ``equilibrium`` and ``gamma_core`` included:
 ``check_count``, ``check_positive`` and ``check_nonnegative``. ``x`` and
 ``r`` may be floats (stepped with ``math.exp``) or NumPy arrays (``np.exp``).
 
-The domain is [0, 1] for the logistic map and [0, RICKER_X_CAP] for Ricker.
-A deterministic orbit lives on the closed domain: 0 is the extinct fixed
-point of both maps and logistic 1 maps onto it, so an orbit that touches
-them is still an orbit to analyse. A stochastic trajectory stops where it
-leaves (0, 1), by extinction, or Ricker's [0, cap), by divergence; a Ricker
-trajectory at 0 stays on that fixed point. NaN is outside both. Every
-deterministic orbit is stepped here, by how many the caller steps: one orbit
-(the cycle check's, a recorded orbit) in the float loop of ``orbit``, which
-checks the domain, and a vector of orbits (ensembles, scans) by ``blocks``,
-whose caller checks it. A block that ``blocks`` yields is valid until the
-generator resumes, and the caller may overwrite it without touching the orbit.
+Orbits and trajectories share one closed domain (``in_domain``): [0, 1] for
+the logistic map, [0, RICKER_X_CAP] for Ricker. 0 is the extinct fixed point
+of both maps and logistic 1 maps onto it, so a state that reaches them, by a
+step or by underflow, stays in the domain; a state leaves it below 0, past the
+upper end (overflow included) or at NaN. Every deterministic orbit is stepped
+here, by how many the caller steps: one orbit (the cycle check's, a recorded
+orbit) in the float loop of ``orbit``, which checks the domain, and a vector
+of orbits (ensembles, scans) by ``blocks``, whose caller checks it. A block
+that ``blocks`` yields is valid until the generator resumes, and the caller
+may overwrite it without touching the orbit.
 """
 
 from __future__ import annotations
@@ -170,13 +170,8 @@ def blocks(kind: MapKind, r, x, phases):
 
 
 def in_domain(kind: MapKind, x):
-    """x lies in the closed domain of the deterministic map."""
+    """x lies in the closed domain of the map, [0, 1] or [0, RICKER_X_CAP]."""
     return (0.0 <= x) & (x <= UPPER[kind])
-
-
-def in_open_domain(kind: MapKind, x):
-    """x lies in the domain of a stochastic trajectory: (0, 1) logistic, [0, cap) Ricker."""
-    return ((0.0 <= x) if kind == "ricker" else (0.0 < x)) & (x < UPPER[kind])
 
 
 def escaped(kind: MapKind, x0: float, t: int, x: float) -> DivergenceError:

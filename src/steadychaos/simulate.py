@@ -21,13 +21,13 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import maps
-from .equilibrium import (RICKER_DEFAULT_R_MAX, Branch, EquilibriumSolution, NoiseFamily, NoiseSpec,
-                          NoRootError, solve)
+from .equilibrium import (RICKER_DEFAULT_R_MAX, Branch, BranchLabel, EquilibriumSolution, NoiseFamily,
+                          NoiseSpec, NoRootError, solve)
 from .gamma_core import GammaParams
 from .maps import MapKind
 
@@ -116,8 +116,8 @@ def _iterate(map: MapSpec, values: np.ndarray, noise: Iterable[np.ndarray]) -> N
     """Step trajectories in place, time-major: values[0] holds the starts, and
     values[t+1] gets step t from the next array eps of ``noise``: f(x) eps for
     the logistic map, ``maps.orbit_step`` from y = ln x plus ln eps for Ricker.
-    A trajectory holds NaN after the step at which it leaves the open domain;
-    that step keeps the value that left."""
+    A trajectory holds NaN after the step at which it leaves ``maps.in_domain``;
+    that step keeps the value that left, and one at 0 stays there."""
     # a step that overflows leaves the domain like any other escape, the step
     # from a value that left (inf - inf) is overwritten with NaN, and ln 0 of
     # a start or variate is -inf, which steps to 0 and stays there
@@ -128,7 +128,7 @@ def _iterate(map: MapSpec, values: np.ndarray, noise: Iterable[np.ndarray]) -> N
                 row[:], y = maps.orbit_step(map.kind, map.r, x, y + np.log(eps))
             else:
                 np.multiply(maps.step(map.kind, map.r, x), eps, out=row)
-            row[~maps.in_open_domain(map.kind, x)] = np.nan
+            row[~maps.in_domain(map.kind, x)] = np.nan
 
 
 def run_trajectory(
@@ -139,13 +139,13 @@ def run_trajectory(
     rng: np.random.Generator,
 ) -> Trajectory:
     """Iterate the stochastic map; stops and flags when the state leaves the
-    open domain (``maps.in_open_domain``)."""
+    domain (``maps.in_domain``). A state at 0 stays there and is no exit."""
     maps.check_count("t_max", t_max, 1)
     eps = noise_draw(noise, rng, size=t_max)
     values = np.empty(t_max + 1)
     values[0] = x0
     _iterate(map, values[:, None], eps[:, None])
-    outside = ~maps.in_open_domain(map.kind, values)
+    outside = ~maps.in_domain(map.kind, values)
     exit_step = int(np.argmax(outside)) if outside.any() else None
     return Trajectory(values=values, exited=exit_step is not None, exit_step=exit_step)
 
@@ -263,7 +263,7 @@ def run_ensemble(
     float ``init`` is a point mass), then one noise variate per trajectory at
     each step. Each chunk steps its own (t_max+1, rows) block, freed once its
     survivors are reduced, so memory holds about one block per busy core.
-    Trajectories that exit the admissible region are counted in
+    Trajectories that leave the domain (``maps.in_domain``) are counted in
     ``extinct_fraction`` and excluded from all moment estimates;
     DivergenceError when fewer than two stay, since a mean needs two.
     """
@@ -275,7 +275,7 @@ def run_ensemble(
         values = np.empty((t_max + 1, rows))
         values[0] = rng.gamma(init.k, init.theta, size=rows) if gamma_init else float(init)
         _iterate(map, values, (noise_draw(noise, rng, size=rows) for _ in range(t_max)))
-        alive = maps.in_open_domain(map.kind, values[-1])
+        alive = maps.in_domain(map.kind, values[-1])
         kept = int(np.count_nonzero(alive))
         if kept < rows:
             for row in values:  # survivors to the front of each time's row
@@ -285,12 +285,12 @@ def run_ensemble(
     p = _chunked(n_traj, seed, draw)
     if p.n < 2:
         raise maps.DivergenceError(f"the {map.kind} ensemble at variance level {noise.variance!r} "
-                                   f"kept {p.n} of {n_traj} trajectories in the open domain "
+                                   f"kept {p.n} of {n_traj} trajectories in [0, {maps.UPPER[map.kind]:g}] "
                                    f"over {t_max} steps; a mean needs 2")
     return EnsembleStats(np.arange(t_max + 1), *_stats(p), n_traj, (n_traj - p.n) / n_traj)
 
 
-def _pick_branch(sol: EquilibriumSolution, branch: str) -> Branch:
+def _pick_branch(sol: EquilibriumSolution, branch: BranchLabel) -> Branch:
     for b in sol.branches:
         if b.label == branch:
             return b
@@ -303,7 +303,7 @@ def stationarity_check(
     map_kind: MapKind,
     k: float,
     var_eps: float,
-    branch: Literal["plus", "minus"],
+    branch: BranchLabel,
     n_traj: int,
     seed: int,
     family: NoiseFamily = "gamma",

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from steadychaos import bifurcation_scan, cli, logistic_solve, maps, ricker_solv
 from steadychaos.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -291,7 +294,7 @@ class TestSimulate:
                                  "--t-max", "3", "--n-traj", "10")
         assert code == 3 and out == ""
         assert err == ("numerical failure: the logistic ensemble at variance level 0.0 kept 0 "
-                       "of 10 trajectories in the open domain over 3 steps; a mean needs 2\n")
+                       "of 10 trajectories in [0, 1] over 3 steps; a mean needs 2\n")
 
     def test_subnormal_noise_variance_is_no_noise(self, capsys):
         # 1/v overflows below about 5.6e-309; it used to give infinite noise and exit 3
@@ -317,6 +320,13 @@ class TestSimulate:
         assert (code, err) == (0, "extinct_fraction=0.0 n_traj=10\n")
         assert out.splitlines()[-1] == "3,0.0,0.0,0.0,0.0,0.0"
 
+    def test_logistic_underflow_to_zero_is_kept(self, capsys):
+        # every trajectory underflows to 0 near t = 1070 and stays there; this exited 3
+        code, out, err = run_cli(capsys, "simulate", "--map", "logistic", "--r", "0.5", "--x0", "0.3",
+                                 "--noise-var", "0.01", "--t-max", "1100", "--n-traj", "1000", "--seed", "1")
+        assert (code, err) == (0, "extinct_fraction=0.0 n_traj=1000\n")
+        assert out.splitlines()[-1] == "1100,0.0,0.0,0.0,0.0,0.0"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_every_trajectory_exiting_is_3_and_named(self, capsys, fmt):
         # 0.7 -> 4.6e7 eps: every trajectory crosses the cap at step 1, so no
@@ -327,7 +337,7 @@ class TestSimulate:
         )
         assert code == 3 and out == ""
         assert err == ("numerical failure: the ricker ensemble at variance level 0.01 kept 0 "
-                       "of 10 trajectories in the open domain over 3 steps; a mean needs 2\n")
+                       "of 10 trajectories in [0, 1e+06] over 3 steps; a mean needs 2\n")
 
 
 class TestStationarity:
@@ -406,12 +416,13 @@ class TestBifurcate:
         )
         assert (code, out, err) == (0, "r,x_sample,lyapunov\n", "")
 
-    def test_negative_samples_is_usage(self, capsys):
+    @pytest.mark.parametrize("flag,value,least", [("--samples", "-1", 0), ("--steps", "1", 2)])
+    def test_count_below_its_bound_is_usage(self, capsys, flag, value, least):
+        # the error names the flag, not the library's samples_per_r or n_r
         code, out, err = run_cli(
-            capsys, "bifurcate", "--map", "logistic", "--r-min", "2.5", "--r-max", "4.0",
-            "--samples", "-1",
+            capsys, "bifurcate", "--map", "logistic", "--r-min", "2.5", "--r-max", "4.0", flag, value,
         )
-        assert (code, out, err) == (1, "", "error: samples_per_r must be >= 0, got -1\n")
+        assert (code, out, err) == (1, "", f"error: {flag[2:]} must be >= {least}, got {value}\n")
 
 
 class TestOutputText:
@@ -652,7 +663,7 @@ class TestTransition:
         # r+ = 99.76 lies past r_max = 10: the note follows the one branch line, as in solve
         code, out, err = run_cli(capsys, "transition", "--map", "ricker", "--k", "0.01", "--var-eps", "0.5")
         assert (code, err) == (0, "")
-        note = "note: residual still positive at r_max=10.0; roots may exist beyond it"
+        note = "note: the plus root lies beyond r_max=10.0"
         assert out.splitlines()[0] == "NO TRANSITION"
         assert out.splitlines()[1].startswith("branch=minus r=0.2575235816063039 regime=stable_fixed")
         assert out.splitlines()[2:] == [note]
@@ -715,7 +726,7 @@ class TestConverge:
         )
         assert code == 3 and out == ""
         assert err == ("numerical failure: the ricker ensemble at variance level 2.0 kept 0 "
-                       "of 10 trajectories in the open domain over 3 steps; a mean needs 2\n")
+                       "of 10 trajectories in [0, 1e+06] over 3 steps; a mean needs 2\n")
 
     @pytest.mark.parametrize("r", ["nan", "inf", "-1", "0"])
     def test_bad_growth_rate_is_usage(self, capsys, r):
@@ -827,3 +838,34 @@ class TestSelfCheck:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 4
+
+
+def readme_examples():
+    """(argv, trailing comment) of each command in the README's ```sh block
+    of CLI examples, the one that holds ``steadychaos solve``; a backslash
+    continues a command on the next line."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    (block,) = [b for b in blocks if "steadychaos solve" in b]
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            examples.append((shlex.split(command), comment.strip()))
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    def test_block_holds_every_example(self):
+        assert len(EXAMPLES) == 11
+        assert all(argv[0] == "steadychaos" for argv, _ in EXAMPLES)
+        assert [comment for _, comment in EXAMPLES].count("prints TRANSITION") == 1
+
+    @pytest.mark.parametrize("argv,comment", EXAMPLES, ids=[f"{i}-{argv[1]}" for i, (argv, _) in enumerate(EXAMPLES)])
+    def test_example_runs(self, capsys, argv, comment):
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0, err
+        if comment == "prints TRANSITION":
+            assert out.startswith("TRANSITION")

@@ -108,6 +108,15 @@ def test_one_step_for_every_ricker_trajectory():
     assert callers == {"simulate._iterate"}
 
 
+def test_one_domain_for_orbits_and_trajectories():
+    """Every vector of orbits and every Monte Carlo trajectory leaves by
+    ``maps.in_domain``; ``maps.orbit`` writes it out for floats."""
+    assert outermost_callers({"in_domain"}) == {
+        "chaos._ensemble_exponent", "chaos.bifurcation_scan",
+        "simulate._iterate", "simulate.run_trajectory", "simulate.run_ensemble",
+    }
+
+
 def test_divergence_error_is_defined_once_in_maps():
     defined_in = [
         module for module in MODULES
@@ -228,7 +237,7 @@ def test_importing_the_cli_does_not_import_concurrent_futures():
 
 
 def test_cli_takes_choice_lists_from_the_library():
-    spelled_out = {("logistic", "ricker"), ("gamma", "lognormal")}
+    spelled_out = {("logistic", "ricker"), ("gamma", "lognormal"), ("plus", "minus")}
     for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
         if isinstance(node, (ast.Tuple, ast.List)):
             values = tuple(e.value if isinstance(e, ast.Constant) else None for e in node.elts)

@@ -243,7 +243,7 @@ class TestConvergenceSweep:
         # r = 40 a start below about 0.643 steps past the cap, and at seed 0
         # that leaves fewer than two trajectories of the ensemble
         message = (f"the ricker ensemble at variance level {level!r} kept {kept} of {n_traj} "
-                   f"trajectories in the open domain over {t_max} steps; a mean needs 2")
+                   f"trajectories in [0, 1e+06] over {t_max} steps; a mean needs 2")
         with pytest.raises(DivergenceError) as info:
             convergence_sweep("ricker", 40.0, [level], t_max=t_max, n_traj=n_traj, seed=0)
         assert str(info.value) == message

@@ -128,28 +128,34 @@ class TestRunTrajectory:
         b = run_trajectory(MapSpec("ricker", 1.2), 0.4, NoiseSpec(0.1), 50, trajectory_rng(7, 3))
         assert np.array_equal(a.values, b.values)
 
-    def test_early_exit_flagged(self):
-        # x0 outside (0,1) exits immediately for the logistic map
-        traj = run_trajectory(MapSpec("logistic", 2.0), 1.5, NoiseSpec(0.0), 10, trajectory_rng(1, 0))
+    @pytest.mark.parametrize("kind,x0", [
+        ("logistic", 1.5), ("logistic", math.nan), ("logistic", math.nextafter(1.0, 2.0)),
+        ("logistic", -5e-324), ("ricker", -1.0), ("ricker", math.nan), ("ricker", math.nextafter(1e6, 2e6)),
+    ])
+    def test_start_outside_the_closed_domain_exits_at_step_0(self, kind, x0):
+        # [0, 1] for the logistic map, [0, cap] for Ricker, as for an orbit
+        traj = run_trajectory(MapSpec(kind, 2.0), x0, NoiseSpec(0.0), 5, trajectory_rng(1, 0))
         assert traj.exited and traj.exit_step == 0
         assert np.isnan(traj.values[1:]).all()
 
-    @pytest.mark.parametrize("kind,x0", [("logistic", 0.0), ("logistic", 1.0), ("ricker", 1e6), ("ricker", -1.0)])
-    def test_domain_is_open(self, kind, x0):
-        # (0, 1) for the logistic map, [0, cap) for Ricker
-        traj = run_trajectory(MapSpec(kind, 2.0), x0, NoiseSpec(0.0), 5, trajectory_rng(1, 0))
-        assert traj.exited and traj.exit_step == 0
-
-    @pytest.mark.parametrize("x0,v", [(0.0, 0.3), (0.7, 1e308)])
-    def test_ricker_zero_is_the_extinct_fixed_point(self, x0, v):
-        # a start of 0, or variates that are all 0 (gamma shape 1e-308), take
-        # ln x to -inf, which steps to 0 and stays there without an exit
-        traj = run_trajectory(MapSpec("ricker", 2.0), x0, NoiseSpec(v), 5, trajectory_rng(1, 0))
+    @pytest.mark.parametrize("kind,x0,v,want", [
+        ("ricker", 0.0, 0.3, [0.0] * 6),
+        ("ricker", 0.7, 1e308, [0.7] + [0.0] * 5),
+        ("ricker", 1e6, 0.0, [1e6] + [0.0] * 5),
+        ("logistic", 0.0, 0.0, [0.0] * 6),
+        ("logistic", 1.0, 0.0, [1.0] + [0.0] * 5),
+        ("logistic", 0.7, 1e308, [0.7] + [0.0] * 5),
+    ])
+    def test_zero_is_the_extinct_fixed_point(self, kind, x0, v, want):
+        # a start of 0, the domain's ends (logistic 1 and Ricker's cap step
+        # to 0) or variates that are all 0 (gamma shape 1e-308) reach 0, which
+        # steps to 0 and stays there without an exit
+        traj = run_trajectory(MapSpec(kind, 2.0), x0, NoiseSpec(v), 5, trajectory_rng(1, 0))
         assert not traj.exited
-        assert traj.values.tolist() == [x0] + [0.0] * 5
+        assert traj.values.tolist() == want
 
     def test_exit_step_is_first_value_outside(self):
-        # r = 4.5 takes the midpoint to 1.125, outside (0, 1), at step 2
+        # r = 4.5 takes the midpoint to 1.125, outside [0, 1], at step 2
         traj = run_trajectory(MapSpec("logistic", 4.5), 0.1464466094067262, NoiseSpec(0.0), 6,
                               trajectory_rng(1, 0))
         assert traj.exited and traj.exit_step == 2
@@ -178,8 +184,9 @@ class TestRunTrajectory:
         assert len(traj.values) == 18
 
     @pytest.mark.parametrize("kind,r,x0,v", [
-        ("logistic", 3.9, 0.3, 0.3),  # leaves (0, 1) part-way
+        ("logistic", 3.9, 0.3, 0.3),  # leaves [0, 1] part-way
         ("logistic", 2.0, 1.5, 0.0),  # starts outside
+        ("logistic", 2.0, 1.0, 0.3),  # 1 -> 0, the extinct fixed point, which stays inside
         ("ricker", 2.6, 0.7, 0.3),
         ("ricker", 40.0, 0.7, 0.0),  # 0.7 -> 1.1e5 -> 0.0 with ln x = -4.4e6, which stays inside
         ("ricker", 60.0, 0.7, 0.3),  # 0.7 -> 4.6e7, past the cap
@@ -194,7 +201,7 @@ class TestRunTrajectory:
         t_max, spec = 30, MapSpec(kind, r)
         eps = noise_draw(NoiseSpec(v), trajectory_rng(9, 4), size=t_max)
         want = [x0]
-        x = np.array([x0]) if maps.in_open_domain(kind, x0) else np.array([np.nan])
+        x = np.array([x0]) if maps.in_domain(kind, x0) else np.array([np.nan])
         y = np.log(x)
         with np.errstate(over="ignore", invalid="ignore"):
             for e in eps:
@@ -203,9 +210,9 @@ class TestRunTrajectory:
                 else:
                     x = maps.step(kind, r, x) * e
                 want.append(float(x[0]))
-                x[~maps.in_open_domain(kind, x)] = np.nan
-        # the domain is (0, 1) for the logistic map and [0, cap) for Ricker
-        outside = [not (w < maps.UPPER[kind] and (w > 0.0 or kind == "ricker" and w == 0.0)) for w in want]
+                x[~maps.in_domain(kind, x)] = np.nan
+        # the domain is [0, 1] for the logistic map and [0, cap] for Ricker
+        outside = [not 0.0 <= w <= maps.UPPER[kind] for w in want]
         traj = run_trajectory(spec, x0, NoiseSpec(v), t_max, trajectory_rng(9, 4))
         assert np.array_equal(traj.values, want, equal_nan=True)
         assert traj.exit_step == (outside.index(True) if any(outside) else None)
@@ -249,7 +256,7 @@ class TestRunEnsemble:
         assert abs(stats.mean[1] - closed) < 4 * stats.se_mean[1]
 
     def test_extinct_trajectories_counted_and_excluded(self):
-        # large noise pushes some logistic trajectories out of (0,1)
+        # large noise pushes some logistic trajectories out of [0, 1]
         stats = run_ensemble(
             MapSpec("logistic", 2.8), 0.5, NoiseSpec(0.4), t_max=30, n_traj=2_000, seed=SEED
         )
@@ -397,13 +404,20 @@ class TestRunEnsemble:
         with pytest.raises(RuntimeError, match="^stream 2 failed$"):
             run_ensemble(MapSpec("ricker", 1.5), 0.4, NoiseSpec(0.1), t_max=5, n_traj=300, seed=SEED)
 
+    def test_logistic_underflow_to_zero_is_no_exit(self):
+        # at r = 0.5 the trajectories halve each step and underflow to exactly
+        # 0, the extinct fixed point, near t = 1070; these used to count as exits
+        stats = run_ensemble(MapSpec("logistic", 0.5), 0.3, NoiseSpec(0.01), 1100, 1000, 1)
+        assert stats.extinct_fraction == 0.0
+        assert stats.mean[-1] == 0.0
+
     def test_fewer_than_two_survivors_is_named(self):
         # 0.7 -> 4.6e7 eps, past the cap for any eps above 0.022: every
         # trajectory exits at step 1, so no step has a mean
         with pytest.raises(maps.DivergenceError) as info:
             run_ensemble(MapSpec("ricker", 60.0), 0.7, NoiseSpec(0.01), t_max=3, n_traj=10, seed=SEED)
         assert str(info.value) == ("the ricker ensemble at variance level 0.01 kept 0 of 10 "
-                                   "trajectories in the open domain over 3 steps; a mean needs 2")
+                                   "trajectories in [0, 1e+06] over 3 steps; a mean needs 2")
 
     def test_fewer_than_two_survivors_over_chunks_is_named(self, monkeypatch):
         # one survivor in all: chunk 0 keeps it, chunks 1 and 2 keep none
@@ -421,7 +435,7 @@ class TestRunEnsemble:
         with pytest.raises(maps.DivergenceError) as info:
             run_ensemble(MapSpec("ricker", 1.5), 0.7, NoiseSpec(0.01), t_max=3, n_traj=10, seed=SEED)
         assert str(info.value) == ("the ricker ensemble at variance level 0.01 kept 1 of 10 "
-                                   "trajectories in the open domain over 3 steps; a mean needs 2")
+                                   "trajectories in [0, 1e+06] over 3 steps; a mean needs 2")
 
     def test_rejects_small_ensemble(self):
         with pytest.raises(ValueError):
