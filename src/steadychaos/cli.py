@@ -2,10 +2,11 @@
 verdict data.
 
 Exit codes: 0 success, 1 usage/parse error (including a growth rate r that
-is not finite and > 0), 2 infeasible domain input (noise variance beyond the
-equilibrium bound), 3 numerical failure (roots only beyond r_max, a Ricker
-theta = e^(r/(k+1))/r beyond the float range, divergence, including a start
-point outside the map's domain, a stationarity sample with no spread).
+is not finite and > 0, and an --output file that cannot be written), 2
+infeasible domain input (noise variance beyond the equilibrium bound), 3
+numerical failure (roots only beyond r_max, a Ricker theta = e^(r/(k+1))/r
+beyond the float range, divergence, including a start point outside the
+map's domain, a stationarity sample with no spread).
 
 ``main(argv)`` may be called repeatedly in one process, as
 ``scripts/reproduce_figures.py`` does: it builds its parser on the first call
@@ -195,16 +196,18 @@ def cmd_bifurcate(args) -> int:
 
 
 def _bifurcate_csv_rows(records) -> Iterator[str]:
-    # the text of r and lyapunov once per record, and of each distinct sample
-    # once per record (a periodic attractor repeats its few points)
+    # a record's lines in one join, the text of r and lyapunov once, and of each
+    # distinct sample once (a periodic attractor repeats its few points)
     for rec in records:
         head, tail = f"{_fmt(rec.r)},", f",{_fmt(rec.lyapunov)}"
-        texts = {}
+        texts, cells = {}, []
         for x in rec.samples.tolist():
             text = texts.get(x) if x else None  # -0.0 == 0.0 share a key, not a text
             if text is None:
                 text = texts[x] = repr(x)
-            yield head + text + tail
+            cells.append(text)
+        if cells:
+            yield head + f"{tail}\n{head}".join(cells) + tail
 
 
 def cmd_lyapunov(args) -> int:
@@ -375,7 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NoRootError, maps.DivergenceError, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -68,6 +68,8 @@ class TestDerivative:
             maps.derivative("henon", 2.0, 0.5)
         with pytest.raises(ValueError):
             list(maps.blocks("henon", 2.0, np.array([0.5]), (1,)))
+        with pytest.raises(ValueError):
+            maps.lyapunov_terms("henon", 2.0, np.array([0.5]))
 
 
 class TestSharedKernel:
@@ -196,6 +198,46 @@ class TestSharedKernel:
                 + u * np.abs(full).sum() + u * np.abs(y).sum() + 2.0 * u * (np.abs(y).max() + 4.0)
             assert abs(full.sum() - telescoped.sum() - (y[-1] - y[0])) <= tol
 
+    @staticmethod
+    def _chained(kind, r, x):
+        """(lyapunov_terms, log_abs_derivative) as chained expressions, one
+        temporary per operation: the reference for the one-temporary form."""
+        if kind == "ricker":
+            terms = np.log(np.abs(1.0 - r * x))
+            return terms, r * (1.0 - x) + terms
+        terms = np.log(np.abs(maps.derivative(kind, r, x)))
+        return terms, terms
+
+    @pytest.mark.parametrize("kind", ["logistic", "ricker"])
+    @given(
+        r=st.floats(min_value=0.5, max_value=20.0),
+        shape=st.sampled_from([(), (5,), (3, 4)]),
+        per_orbit=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=150)
+    def test_terms_are_the_chained_expressions(self, kind, r, shape, per_orbit, data):
+        # bit for bit, on the zeros of f' (x = 1/2, x = 1/r: -inf), 0, NaN and
+        # states past the domain; a per-orbit r of shape (n,) against (m, n)
+        # rows; () is a float x
+        special = st.sampled_from([0.0, 0.5, 1.0 / r, 1.0, math.nan, -0.5, 2.0, 3e6])
+        cell = st.one_of(special, st.floats(min_value=-1.0, max_value=3.0))
+        if shape == ():
+            x = data.draw(cell)
+        else:
+            x = np.array(data.draw(st.lists(cell, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+            if per_orbit:
+                r = np.array(data.draw(st.lists(st.floats(min_value=0.5, max_value=20.0),
+                                                min_size=shape[-1], max_size=shape[-1])))
+        before = np.array(x, copy=True)
+        with np.errstate(divide="ignore"):
+            want = self._chained(kind, r, x)
+            got = maps.lyapunov_terms(kind, r, x), maps.log_abs_derivative(kind, r, x)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert np.array_equal(x, before, equal_nan=True)
+
     def test_ricker_blocks_meet_the_finite_n_mean_identity(self):
         # y_{t+1} = y_t + r(1 - x_t) sums to the exact identity
         # sum_{t<n} x_t = n - (ln x_n - ln x_0)/r, so only rounding separates
@@ -270,7 +312,8 @@ class TestSharedKernel:
         return want
 
     # starts on 0, 1 and NaN; per orbit, logistic r > 4 leaves [0, 1] and Ricker
-    # r = 750 from 1e-17 steps past e^709.78, which overflows to inf. The phases
+    # r = 750 from 1e-17 steps past e^709.78, which overflows to inf; r also as
+    # a Python int and an np.float64, which blocks makes 0-d arrays. The phases
     # hold an empty phase, lengths that are no multiple of maps.BLOCK, and
     # (3, 7) a block shorter than maps.BLOCK
     @pytest.mark.parametrize("kind,r,x0", [
@@ -278,7 +321,9 @@ class TestSharedKernel:
         ("logistic", np.array([2.5, 3.57, 3.9, 4.0, 4.3]), [0.37, 0.1, 0.8, 0.2, 0.37]),
         ("ricker", 3.0, [0.7, 1e-300, 2.0, 0.0, math.nan]),
         ("ricker", np.array([2.0, 9.146311040868133, 20.0, 750.0, 750.0]), [0.7, 0.7, 0.7, 1e-17, 0.3]),
-    ], ids=["logistic", "logistic_per_orbit", "ricker", "ricker_per_orbit"])
+        ("logistic", 4, [0.37, 0.5, 0.0, 1.0, math.nan]),
+        ("ricker", np.float64(3.0), [0.7, 1e-300, 2.0, 0.0, math.nan]),
+    ], ids=["logistic", "logistic_per_orbit", "ricker", "ricker_per_orbit", "logistic_int_r", "ricker_float64_r"])
     @pytest.mark.parametrize("phases", [(0, 450, 7), (200, 1, 401), (3, 7)])
     @pytest.mark.parametrize("overwrite", [False, True], ids=["read", "nan_written"])
     def test_blocks_are_the_kernel(self, kind, r, x0, phases, overwrite):

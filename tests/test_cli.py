@@ -89,6 +89,21 @@ class TestExitCodes:
         assert code == 3
         assert "theta = e^(r/(k+1))/r exceeds the float range" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--map", "logistic", "--k", "1.0", "--steps", "2"),
+        ("ricker-curve", "--steps", "2"),
+        ("simulate", "--map", "logistic", "--r", "2.8", "--x0", "0.3", "--t-max", "2", "--n-traj", "10"),
+        ("bifurcate", "--map", "logistic", "--r-min", "2.5", "--r-max", "4.0", "--steps", "2", "--samples", "2"),
+        ("converge", "--map", "logistic", "--r", "2.0", "--ladder", "1e-2", "--t-max", "2", "--n-traj", "10"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_unwritable_output_is_usage(self, capsys, tmp_path, argv, where):
+        # the OSError of open() is one error line, with nothing on stdout
+        path = tmp_path / "missing" / "out.csv" if where == "missing_directory" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f"{str(path)!r}\n") and err.count("\n") == 1
+
     def test_success_is_0(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--map", "logistic", "--k", "2.0", "--var-eps", "0.1")
         assert code == 0
