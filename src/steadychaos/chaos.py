@@ -52,20 +52,20 @@ class TransitionReport:
     solution: EquilibriumSolution  # holds the map, k and var_eps
 
 
-def _ensemble_exponent(kind: MapKind, r: float, x0: float, burn_in: int, iters: int) -> tuple:
+def _ensemble_exponent(kind: MapKind, r: float, burn_in: int, iters: int) -> tuple:
     """(lambda, se, n): the Lyapunov exponent as the mean of the orbit averages
     of ``maps.lyapunov_terms`` over _ORBITS orbits stepped together by
     ``maps.blocks``, and its standard error, their standard deviation over
     sqrt(_ORBITS).
 
-    Orbit j starts at frac(x0 + j _GOLDEN). The orbits burn in for
-    ``burn_in`` steps, then average in blocks of ``maps.BLOCK`` steps; after
-    each block the estimate stops once |lambda| > _Z se, else at n = ``iters``
-    steps per orbit. A superstable point (f' = 0) gives lambda = -inf with
-    se NaN. ``maps.escaped`` when a state it steps from leaves the closed
-    domain, overflow included.
+    Orbit j starts at frac(``maps.DEFAULT_X0`` + j _GOLDEN). The orbits burn
+    in for ``burn_in`` steps, then average in blocks of ``maps.BLOCK`` steps;
+    after each block the estimate stops once |lambda| > _Z se, else at
+    n = ``iters`` steps per orbit. A superstable point (f' = 0) gives
+    lambda = -inf with se NaN. ``maps.escaped`` when a state it steps from
+    leaves the closed domain, overflow included.
     """
-    starts = (x0 + _GOLDEN * np.arange(_ORBITS)) % 1.0
+    starts = (maps.DEFAULT_X0[kind] + _GOLDEN * np.arange(_ORBITS)) % 1.0
     sums = np.zeros(_ORBITS)
     done = n = 0
     # a Ricker step past the float range gives inf, outside the domain; the
@@ -98,7 +98,7 @@ def lyapunov(kind: MapKind, r: float, burn_in: int = DEFAULT_BURN_IN, iters: int
     maps.check(kind, r)
     maps.check_count("burn_in", burn_in, 0)
     maps.check_count("iters", iters, 1)
-    return _ensemble_exponent(kind, r, maps.DEFAULT_X0[kind], burn_in, iters)[0]
+    return _ensemble_exponent(kind, r, burn_in, iters)[0]
 
 
 def _attracting_cycle(kind: MapKind, r: float, x0: float, p_max: int) -> Optional[tuple]:
@@ -133,15 +133,14 @@ def classify(kind: MapKind, r: float, iters: int = DEFAULT_ITERS) -> RegimeRepor
     """
     maps.check(kind, r)
     maps.check_count("iters", iters, 1)
-    start = maps.DEFAULT_X0[kind]
     try:
-        cycle = _attracting_cycle(kind, r, start, _P_MAX)
+        cycle = _attracting_cycle(kind, r, maps.DEFAULT_X0[kind], _P_MAX)
         # a closure inside the tolerance band is a bifurcation edge
         if cycle is not None and cycle[1] < -_LYAP_TOL:
             period, lam = cycle
             regime = "stable_fixed" if period == 1 else "periodic"
             return RegimeReport(r=r, lyapunov=lam, regime=regime, period=period)
-        lam, se, n = _ensemble_exponent(kind, r, start, DEFAULT_BURN_IN, iters)
+        lam, se, n = _ensemble_exponent(kind, r, DEFAULT_BURN_IN, iters)
     except DivergenceError:
         return RegimeReport(r=r, lyapunov=float("nan"), regime="divergent")
     regime = "chaotic" if lam > _LYAP_TOL and lam > _Z * se else "marginal"

@@ -4,8 +4,10 @@ steps as ``orbit_step`` does: a Monte Carlo trajectory calls it from y + ln eps,
 and the deterministic steppers ``orbit`` and ``blocks`` write it out. This
 bottom layer imports nothing from the package, and writes once each input rule
 that the layers above share, ``equilibrium`` and ``gamma_core`` included:
-``check_count``, ``check_positive`` and ``check_nonnegative``. ``x`` and
-``r`` may be floats (stepped with ``math.exp``) or NumPy arrays (``np.exp``).
+``check_count``, ``check_positive`` and ``check_nonnegative``. ``check`` owns
+the kind rule: every other function here takes a kind it has accepted, tests
+for one map and treats any other kind as the other. ``x`` and ``r`` may be
+floats (stepped with ``math.exp``) or NumPy arrays (``np.exp``).
 
 Orbits and trajectories share one closed domain (``in_domain``): [0, 1] for
 the logistic map, [0, RICKER_X_CAP] for Ricker. 0 is the extinct fixed point
@@ -63,7 +65,8 @@ def check_nonnegative(name: str, value: float) -> None:
 
 
 def check(kind: MapKind, r: float) -> None:
-    """Raise ValueError for an unknown kind or an r that is not finite and > 0."""
+    """Raise ValueError for an unknown kind or an r that is not finite and > 0;
+    the kernel functions below take the kind as checked."""
     if kind not in UPPER:
         raise ValueError(f"unknown map kind {kind!r}")
     check_positive("growth rate r", r)
@@ -77,39 +80,27 @@ def step(kind: MapKind, r, x):
     """One iteration f(x) of the deterministic map."""
     if kind == "logistic":
         return r * x * (1.0 - x)
-    if kind == "ricker":
-        return x * _exp(r * (1.0 - x))
-    raise ValueError(f"unknown map kind {kind!r}")
-
-
-def derivative(kind: MapKind, r, x):
-    """f'(x) of the deterministic map."""
-    if kind == "logistic":
-        return r * (1.0 - 2.0 * x)
-    if kind == "ricker":
-        return _exp(r * (1.0 - x)) * (1.0 - r * x)
-    raise ValueError(f"unknown map kind {kind!r}")
+    return x * _exp(r * (1.0 - x))
 
 
 def second_derivative(kind: MapKind, r, x):
     """f''(x) of the deterministic map."""
     if kind == "logistic":
         return -2.0 * r
-    if kind == "ricker":
-        return r * _exp(r * (1.0 - x)) * (r * x - 2.0)
-    raise ValueError(f"unknown map kind {kind!r}")
+    return r * _exp(r * (1.0 - x)) * (r * x - 2.0)
 
 
 def log_abs_derivative(kind: MapKind, r, x):
-    """ln|f'(x)|, -inf where f'(x) = 0. The Ricker form r(1-x) + ln|1-rx|
-    stays finite where e^{r(1-x)} underflows."""
+    """ln|f'(x)|, -inf where f'(x) = 0: ``lyapunov_terms``, where f' is written,
+    plus Ricker's r(1-x). That form stays finite where e^{r(1-x)} underflows."""
     terms = lyapunov_terms(kind, r, x)
     return r * (1.0 - x) + terms if kind == "ricker" else terms
 
 
 def lyapunov_terms(kind: MapKind, r, x):
     """Terms whose orbit average is the Lyapunov exponent off a cycle: ln|f'(x)|
-    for the logistic map, ln|1 - rx| alone for Ricker.
+    for the logistic map, f'(x) = r(1 - 2x), and ln|1 - rx| alone for Ricker,
+    f'(x) = e^{r(1-x)}(1 - rx). f' is written here and nowhere else.
 
     A Ricker orbit carries y = ln x with y_{t+1} - y_t = r(1 - x_t), so the
     r(1 - x) half of ln|f'(x)| = r(1 - x) + ln|1 - rx| sums over n steps to
@@ -126,8 +117,6 @@ def lyapunov_terms(kind: MapKind, r, x):
     np.subtract(1.0, t, out=t)
     if kind == "logistic":
         np.multiply(r, t, out=t)
-    elif kind != "ricker":
-        raise ValueError(f"unknown map kind {kind!r}")
     np.abs(t, out=t)
     return np.log(t, out=t)[()]
 
@@ -166,13 +155,11 @@ def blocks(kind: MapKind, r, x, phases):
                     multiply(r, a, a)
                     add(y, a, y)
                     exp(y, x_t1)
-            elif kind == "logistic":
+            else:
                 for x_t, x_t1 in pairs[:m]:
                     multiply(r, x_t, a)
                     subtract(one, x_t, x_t1)
                     multiply(a, x_t1, x_t1)
-            else:
-                raise ValueError(f"unknown map kind {kind!r}")
             yield phase, block[:m]
             # the state after the last row is the next block's first
             block[0] = block[m]

@@ -67,8 +67,10 @@ def convergence_sweep(
     A ``noiseless`` level (0, or so small that 1/v overflows) is exact: the
     point mass y0 without noise is the orbit itself. DivergenceError when the orbit escapes, or (from ``run_ensemble``) fewer
     than two trajectories of a level stay in the domain. ValueError, before any
-    work, for a t_max, n_traj or seed that ``run_ensemble`` rejects, noiseless levels included.
+    work, for a kind or r that ``maps.check`` rejects, or a t_max, n_traj or
+    seed that ``run_ensemble`` rejects, noiseless levels included.
     """
+    maps.check(kind, r)
     maps.check_count("t_max", t_max, 1)
     maps.check_count("n_traj", n_traj, 2)  # a mean and a spread need two
     check_seed(seed)

@@ -13,7 +13,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steadychaos import GammaParams, NoiseSpec, chaos, cli, equilibrium, raw_moment
+from steadychaos import (
+    GammaParams,
+    MapSpec,
+    MeanState,
+    NoiseSpec,
+    chaos,
+    cli,
+    convergence_sweep,
+    deterministic_orbit,
+    equilibrium,
+    maps,
+    mean_update,
+    raw_moment,
+    stationarity_check,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "steadychaos"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -150,6 +164,35 @@ def test_each_argument_rule_is_written_once_in_maps():
     assert not {"_check_count", "check_n_traj", "_check_k", "_check_var"} & defined
 
 
+@pytest.mark.parametrize("call", [
+    lambda: chaos.lyapunov("henon", 2.0),
+    lambda: chaos.classify("henon", 2.0),
+    lambda: chaos.bifurcation_scan("henon", 2.0, 3.0, 5),
+    lambda: chaos.transition_report("henon", 1.0, 0.0),
+    lambda: equilibrium.solve("henon", 1.0, 0.0),
+    lambda: stationarity_check("henon", 1.0, 0.0, "plus", n_traj=100, seed=1),
+    lambda: MapSpec("henon", 2.0),
+    lambda: mean_update("henon", 2.0, MeanState(0.5, 0.0)),
+    lambda: deterministic_orbit("henon", 2.0, 0.5, 10),
+    lambda: convergence_sweep("henon", 2.0, [1e-3], 10),
+], ids=["lyapunov", "classify", "bifurcation_scan", "transition_report", "solve", "stationarity_check",
+        "MapSpec", "mean_update", "deterministic_orbit", "convergence_sweep"])
+def test_every_entry_point_refuses_an_unknown_kind(call):
+    with pytest.raises(ValueError, match="^unknown map kind 'henon'$"):
+        call()
+
+
+def test_the_kind_rule_and_the_derivative_are_written_once():
+    """``maps.check`` owns the kind rule, and the kernel functions take a
+    checked kind; the one other raise is the solver dispatch,
+    ``equilibrium.solve``. f' is written once, in ``maps.lyapunov_terms``:
+    ``maps`` defines no ``derivative``."""
+    spelled = sorted(name for module in MODULES for name, node in owned_nodes(module)
+                     if isinstance(node, ast.Constant) and "unknown map kind" in str(node.value))
+    assert spelled == ["equilibrium.solve", "maps.check"]
+    assert not hasattr(maps, "derivative")
+
+
 def _simulate_handler(*flags):
     args = cli.build_parser().parse_args(["simulate", "--map", "logistic", "--r", "2", "--x0", "0.5", *flags])
     return args.handler(args)
@@ -194,21 +237,24 @@ def outermost_callers(names: set) -> set:
     """``module.function`` for each outermost function that calls one of
     ``names``, bare or as an attribute; ``module.<module>`` for a call at
     import."""
-    callers = set()
-    for module in MODULES:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-        # each node belongs to its outermost function, or to the module
-        owner = {}
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                for node in ast.walk(fn):
-                    owner.setdefault(node, fn.name)
-        callers |= {
-            f"{module}.{owner.get(node, '<module>')}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
-        }
-    return callers
+    return {
+        owner
+        for module in MODULES
+        for owner, node in owned_nodes(module)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
+    }
+
+
+def owned_nodes(module: str) -> list:
+    """(``module.function``, node) for each node of ``module``, under its
+    outermost function, or ``module.<module>`` outside every function."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                owner.setdefault(node, fn.name)
+    return [(f"{module}.{owner.get(node, '<module>')}", node) for node in ast.walk(tree)]
 
 
 def test_only_the_chunk_runner_starts_threads():

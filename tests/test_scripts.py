@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,6 +46,31 @@ def test_transition_survey_verdicts():
     assert len(ricker_k1) == 1 and ricker_k1[0][3] == "TRANSITION"
     ricker_k10 = [row for row in rows if row[:2] == ["ricker", "10"]]
     assert len(ricker_k10) == 1 and ricker_k10[0][-1] == "periodic]"
+
+
+def test_output_digests_of_one_checkout_twice_agree():
+    done = run_script("output_digests.py", "--checkout", str(ROOT), "--checkout", str(ROOT), "--seeds", "1")
+    assert done.returncode == 0, done.stderr
+    # 35 workload ops, the survey, the figures script and its three CSVs
+    assert done.stdout == "" and done.stderr == f"0 of 40 lines differ between {ROOT} and {ROOT}\n"
+
+
+def test_output_digests_report_a_planted_change(tmp_path):
+    for part in ("src", "perfbench", "scripts"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "steadychaos" / "cli.py"
+    text = cli.read_text()
+    planted = text.replace('print(f"lyapunov={_fmt(lam)}")', 'print(f"lyapunov={_fmt(lam)} planted")')
+    assert planted != text
+    cli.write_text(planted)
+    done = run_script("output_digests.py", "--checkout", str(ROOT), "--checkout", str(tmp_path), "--seeds", "1")
+    assert done.returncode == 1, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    ops = [f"verdicts/lyapunov_{op}" for op in ("logistic_r4", "logistic_r2.5", "ricker_r3", "ricker_r1.5")]
+    assert [(sign, seed, op) for sign, seed, op, *_ in lines] == [
+        (sign, "1", op) for op in ops for sign in "-+"
+    ]
+    assert done.stderr.startswith("4 of 40 lines differ")
 
 
 def test_bench_record_writes_a_summary(tmp_path):

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from steadychaos import (
@@ -410,6 +411,26 @@ class TestRunEnsemble:
         stats = run_ensemble(MapSpec("logistic", 0.5), 0.3, NoiseSpec(0.01), 1100, 1000, 1)
         assert stats.extinct_fraction == 0.0
         assert stats.mean[-1] == 0.0
+
+    @pytest.mark.parametrize("r,x0,v,family", [
+        (3.9, 0.5, 0.1, "gamma"),
+        (2.0431, 0.5, 0.1, "gamma"),
+        (3.9, 0.5, 0.1, "lognormal"),
+        (4.0, 0.3, 0.2, "lognormal"),
+    ])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_step_exits_are_the_noise_tail(self, r, x0, v, family, seed):
+        # from a point mass x0 a logistic step exits iff eps > c = 1/f(x0), so
+        # the exit count is binomial with p = P(eps > c), in closed form:
+        # Q(1/v, c/v) for gamma noise, a normal tail of ln eps for lognormal
+        n, c = 200_000, 1.0 / (r * x0 * (1.0 - x0))
+        if family == "gamma":
+            p = float(scipy_special.gammaincc(1.0 / v, c / v))
+        else:
+            s = math.sqrt(math.log1p(v))
+            p = 0.5 * math.erfc((math.log(c) + s * s / 2.0) / (s * math.sqrt(2.0)))
+        stats = run_ensemble(MapSpec("logistic", r), x0, NoiseSpec(v, family), t_max=1, n_traj=n, seed=seed)
+        assert abs(stats.extinct_fraction - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
     def test_fewer_than_two_survivors_is_named(self):
         # 0.7 -> 4.6e7 eps, past the cap for any eps above 0.022: every
